@@ -1,15 +1,15 @@
 """Named extremal maps: coefficient constructors and exact evaluators.
 
-Every tag has a coefficient rule and a closed-form evaluator.  The two
-rational harmonic maps are expanded by exact long division of their
-printed numerators against (1-z)^k, carried out in integer arithmetic,
-so no coefficient is a hand-typed float.
+Every tag has a coefficient rule and a closed-form evaluator.  The
+Taylor coefficients of the two rational harmonic maps are closed-form
+quotients of integer polynomials in n: the products are exact in
+float64 and the one division rounds correctly, so each coefficient is
+the float nearest its exact rational value.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 from scipy.special import spence
@@ -38,25 +38,6 @@ def _as_tag(tag) -> CatalogTag:
         return CatalogTag(tag)
     except ValueError:
         raise ValueError(f"unknown catalog tag {tag!r}") from None
-
-
-def _rational_coeffs(numerator: dict[int, Fraction], pole_order: int, n: int) -> list[Fraction]:
-    """Taylor coefficients 1..n of numerator(z) / (1-z)**pole_order.
-
-    Uses the binomial recurrence c_m = c_{m-1} (m+k-1)/m for 1/(1-z)^k
-    and convolves with the (finitely supported) numerator.
-    """
-    base = [Fraction(1)]
-    for m in range(1, n + 1):
-        base.append(base[-1] * (m + pole_order - 1) / m)
-    out = []
-    for j in range(1, n + 1):
-        out.append(sum((c * base[j - m] for m, c in numerator.items() if m <= j), Fraction(0)))
-    return out
-
-
-def _to_series(fracs) -> AnalyticSeries:
-    return AnalyticSeries(np.array([float(c) for c in fracs], dtype=np.complex128))
 
 
 def make(tag, order: int) -> HarmonicMap:
@@ -91,13 +72,15 @@ def make(tag, order: int) -> HarmonicMap:
         return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g), tag.value)
 
     if tag is CatalogTag.HARMONIC_KOEBE:
-        a = _rational_coeffs({1: Fraction(1), 2: Fraction(-1, 2), 3: Fraction(1, 6)}, 3, order)
-        b = _rational_coeffs({2: Fraction(1, 2), 3: Fraction(1, 6)}, 3, order)
-        return HarmonicMap(_to_series(a), _to_series(b), tag.value)
+        # (z - z^2/2 + z^3/6) / (1-z)^3 and (z^2/2 + z^3/6) / (1-z)^3
+        a = (2 * n + 1) * (n + 1) / 6
+        b = (2 * n - 1) * (n - 1) / 6
+        return HarmonicMap(AnalyticSeries(a), AnalyticSeries(b), tag.value)
     if tag is CatalogTag.HARMONIC_HALF_PLANE:
-        a = _rational_coeffs({1: Fraction(1), 2: Fraction(-1, 2)}, 2, order)
-        b = _rational_coeffs({2: Fraction(-1, 2)}, 2, order)
-        return HarmonicMap(_to_series(a), _to_series(b), tag.value)
+        # (z - z^2/2) / (1-z)^2 and -(z^2/2) / (1-z)^2
+        a = (n + 1) / 2
+        b = (1 - n) / 2
+        return HarmonicMap(AnalyticSeries(a), AnalyticSeries(b), tag.value)
 
     if tag is CatalogTag.ALEXANDER_PLUS_K:
         base = make(CatalogTag.HARMONIC_KOEBE, order)

@@ -2,9 +2,10 @@
 
 Maps travel as JSON documents ``{"order": N, "h": [[re, im], ...],
 "g": [[re, im], ...]}`` with coefficient arrays starting at the z^1
-term; ``g`` may be omitted and is then zero.  Exit codes: 0 success or
-membership true, 1 membership false or suite failure, 2 usage or input
-errors.
+term; ``g`` may be omitted and is then zero.  Coefficients must be
+finite: JSON ``NaN`` and ``Infinity`` are input errors.  Exit codes: 0
+success or membership true, 1 membership false or suite failure, 2
+usage or input errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .catalog import CatalogTag, make
 from .classes import ClassId, ClassName, membership, sample_member
-from .geometry import RADIUS_SCAN_GRID, SamplingGrid, radius_estimate
+from .geometry import radius_estimate
 from .harmonic import HarmonicMap, alexander_minus, alexander_plus, harmonic_convolve, tilde_convolve
 from .render import render_image
 from .series import AnalyticSeries
@@ -37,7 +38,7 @@ def _pairs_to_coeffs(pairs, order: int, name: str) -> np.ndarray:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"field '{name}', entry {k + 1}: expected an [re, im] pair")
         try:
-            out[k] = float(pair[0]) + 1j * float(pair[1])
+            out[k] = complex(float(pair[0]), float(pair[1]))
         except (TypeError, ValueError):
             raise InputError(f"field '{name}', entry {k + 1}: non-numeric value") from None
     return out
@@ -52,9 +53,9 @@ def load_map(path) -> HarmonicMap:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top-level value must be an object")
-    if "order" not in doc or not isinstance(doc["order"], int) or doc["order"] < 1:
+    order = doc.get("order")
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InputError(f"{path}: field 'order' must be a positive integer")
-    order = doc["order"]
     if "h" not in doc:
         raise InputError(f"{path}: field 'h' is required")
     try:
@@ -64,9 +65,9 @@ def load_map(path) -> HarmonicMap:
             if "g" in doc and doc["g"] is not None
             else np.zeros(order, dtype=np.complex128)
         )
-    except InputError as exc:
+        return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+    except (InputError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
-    return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
 
 
 def dump_map(f: HarmonicMap) -> str:

@@ -17,6 +17,7 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .harmonic import HarmonicMap, eval_map, jacobian
 from .series import AnalyticSeries
@@ -25,7 +26,6 @@ DEGENERACY_TOL = 1e-12
 
 #: angle counts used by the verification harness
 MARGIN_ANGLES = 1024
-FINITE_DIFF_ANGLES = 4096
 UNIVALENCE_ANGLES = 2048
 
 #: margin refinement stops once the parabolic step in theta is below this
@@ -64,8 +64,7 @@ class SamplingGrid:
         object.__setattr__(self, "radii", radii)
 
     def circle(self, r: float) -> np.ndarray:
-        theta = np.arange(self.angles) * (2.0 * np.pi / self.angles)
-        return r * np.exp(1j * theta)
+        return _circle(r, self.angles)[1]
 
     def points(self) -> np.ndarray:
         """All grid points, radius-major."""
@@ -117,40 +116,6 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"circle radius must lie in (0, 1), got {r}")
 
 
-def _is_zero(s: AnalyticSeries) -> bool:
-    return not s.const and not s.coeffs.any()
-
-
-def _evaluate(s: AnalyticSeries, z: np.ndarray) -> np.ndarray:
-    """s(z) on an array; a zero series skips the Horner loop."""
-    return np.zeros_like(z) if _is_zero(s) else s.evaluate(z)
-
-
-def _point_evaluator(series: tuple[AnalyticSeries, ...]):
-    """The function z -> [s(z) for s in series] at one point z.
-
-    It runs the Horner recurrence of :meth:`AnalyticSeries.evaluate` on
-    Python complex numbers, since array overhead would dominate a single
-    point, and skips zero series.
-    """
-    tables = [None if _is_zero(s) else (s.const, s.coeffs[::-1].tolist()) for s in series]
-
-    def at(z: complex) -> list[complex]:
-        values = []
-        for table in tables:
-            if table is None:
-                values.append(0j)
-                continue
-            const, coeffs = table
-            acc = 0j
-            for c in coeffs:
-                acc = acc * z + c
-            values.append(const + acc * z)
-        return values
-
-    return at
-
-
 def _refine_minimum(fn, b: float, h: float, fa: float, fb: float, fc: float):
     """Smallest evaluated value of fn in [b - h, b + h], given fn(b) <= fn(b -+ h).
 
@@ -193,13 +158,12 @@ def _circle_minimum(functional, series: tuple[AnalyticSeries, ...], r: float, an
     (value, angle) with the angle in [0, 2*pi).
     """
     theta, z = _circle(r, angles)
-    margin = functional(z, *(_evaluate(s, z) for s in series))
+    margin = functional(z, *(s.evaluate(z) for s in series))
     k = int(np.argmin(margin))
-    at = _point_evaluator(series)
 
     def margin_at(t: float) -> float:
         zt = r * cmath.exp(1j * t)
-        return float(functional(zt, *at(zt)))
+        return float(functional(zt, *(s.evaluate(zt) for s in series)))
 
     angle, value = _refine_minimum(
         margin_at,
@@ -367,14 +331,11 @@ def smallest_positive_root(poly_coeffs, scan_step: float = 1e-3, tol: float = 1e
     """
     coeffs = np.asarray(poly_coeffs, dtype=np.float64)
 
-    def p(x: float) -> float:
-        acc = 0.0
-        for c in coeffs[::-1]:
-            acc = acc * x + c
-        return acc
+    def p(x):
+        return polyval(x, coeffs)
 
     xs = np.arange(0.0, 1.0 + scan_step / 2, scan_step)
-    vals = [p(x) for x in xs]
+    vals = p(xs)
     for x, v in zip(xs[1:-1], vals[1:-1]):
         if v == 0.0:
             return float(x)

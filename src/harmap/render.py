@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import _circle
 from .harmonic import HarmonicMap, eval_map
 
 #: fixed stroke cycle, reused modulo 8 across radii
@@ -52,8 +53,7 @@ def render_image(f: HarmonicMap, radii, samples: int, out_path) -> Path:
     if samples < 256:
         raise ValueError("at least 256 samples per curve are required")
 
-    theta = np.arange(samples) * (2.0 * np.pi / samples)
-    curves = [np.asarray(eval_map(f, r * np.exp(1j * theta))) for r in radii]
+    curves = [np.asarray(eval_map(f, _circle(r, samples)[1])) for r in radii]
 
     all_pts = np.concatenate(curves)
     xs = all_pts.real

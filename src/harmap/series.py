@@ -8,6 +8,7 @@ return new values.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,10 +39,13 @@ class AnalyticSeries:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
+        const = complex(self.const)
+        if not (np.isfinite(arr).all() and cmath.isfinite(const)):
+            raise ValueError("series coefficients must be finite")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "const", complex(self.const))
+        object.__setattr__(self, "const", const)
 
     @property
     def order(self) -> int:
@@ -61,16 +65,25 @@ class AnalyticSeries:
     def evaluate(self, z):
         """Value at ``z`` (scalar or ndarray), |z| < 1.
 
-        Nested multiplication from the highest degree down.
+        Nested multiplication from the highest degree down, in place on an
+        ndarray.  A scalar (0-d) ``z`` runs the same recurrence on Python
+        ``complex`` numbers, since array overhead would dominate a single
+        point, and returns a ``complex``.  A series that is identically
+        zero returns zeros of the input's shape without running the loop.
         """
         z = np.asarray(z, dtype=np.complex128)
         if np.any(np.abs(z) >= 1.0):
             raise DomainError("series evaluation requires |z| < 1")
-        acc = np.zeros_like(z)
-        for c in self.coeffs[::-1]:
-            acc = acc * z + c
-        out = self.const + acc * z
-        return complex(out) if out.ndim == 0 else out
+        if z.ndim == 0:
+            z, acc = complex(z), 0j
+        else:
+            acc = np.zeros_like(z)
+        if not (self.const or self.coeffs.any()):
+            return acc
+        for c in self.coeffs[::-1].tolist():
+            acc *= z
+            acc += c
+        return self.const + acc * z
 
     def derivative(self) -> "AnalyticSeries":
         """Termwise derivative, truncation N - 1.

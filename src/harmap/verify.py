@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +105,9 @@ def _fmt(x) -> str:
 
 
 class _Recorder:
-    def __init__(self) -> None:
+    def __init__(self, out_dir) -> None:
         self.checks: list[CheckResult] = []
+        self.out_dir = Path(out_dir)
 
     def close(self, description: str, measured: float, expected: float, tol: float) -> None:
         ok = abs(measured - expected) <= tol
@@ -130,7 +132,18 @@ class _Recorder:
             CheckResult(description, measured == expected, str(measured), str(expected), 0.0)
         )
 
-    def counted(self, description: str, failures: int, witness: str = "") -> None:
+    def counted(self, description: str, items, failure) -> None:
+        """One check over ``items``: how many fail, with the first failure's witness.
+
+        ``failure(item)`` returns None when the item passes, else a witness string.
+        """
+        failures = 0
+        witness = ""
+        for item in items:
+            found = failure(item)
+            if found is not None:
+                failures += 1
+                witness = witness or found
         measured = str(failures) if not failures else f"{failures} (first: {witness})"
         self.checks.append(CheckResult(description, failures == 0, measured, "0", 0.0))
 
@@ -154,21 +167,31 @@ def _unit_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _sample_many(name: ClassName, seed: int, count: int, order: int = 64):
-    cid = ClassId(name)
-    return [sample_member(cid, seed + k, order) for k in range(count)]
+def _members(cid: ClassId, seed: int, count: int, order: int = 64):
+    """Members drawn lazily at seeds seed, seed + 1, ..., seed + count - 1."""
+    return (sample_member(cid, seed + k, order) for k in range(count))
+
+
+def _pairs(cid: ClassId, seed: int, count: int):
+    """Member pairs drawn lazily at seeds (seed + 2k, seed + 2k + 1), k < count."""
+    return (
+        (sample_member(cid, seed + 2 * k), sample_member(cid, seed + 2 * k + 1)) for k in range(count)
+    )
+
+
+def _rejection(f: HarmonicMap, cid: ClassId, shown: HarmonicMap) -> str | None:
+    """None when f is a class member, else a witness of ``shown`` with f's margin."""
+    res = membership(f, cid)
+    return None if res.is_member else _witness(shown, f"margin={res.margin:.3e}")
 
 
 def _one_sided_convex(rec: _Recorder, label: str, members, bound: float) -> None:
     radii = [frac * (bound - ONE_SIDED_GAP) for frac in (0.25, 0.5, 0.75, 1.0)]
-    worst = math.inf
-    witness = ""
-    for k, f in enumerate(members):
-        for r in radii:
-            m = convex_margin(f, r).min_margin
-            if m < worst:
-                worst = m
-                witness = _witness(f, f"member={k} r={r:.6f}")
+    worst, k, r = min(
+        ((convex_margin(f, r).min_margin, k, r) for k, f in enumerate(members) for r in radii),
+        key=lambda item: item[0],
+    )
+    witness = _witness(members[k], f"member={k} r={r:.6f}")
     rec.at_least(
         f"{label}: min convex margin of {len(members)} members at radii <= "
         f"{_fmt(bound)}-{ONE_SIDED_GAP} [constant]{'' if worst >= -ONE_SIDED_TOL else ' ' + witness}",
@@ -200,20 +223,17 @@ def _suite_t2_5(rec: _Recorder, seed: int) -> None:
         (ClassName.V_H0, "1/n^2"),
     ]
     for name, bound_label in specs:
-        table = bound_table(ClassId(name))
-        failures = 0
-        witness = ""
-        for k in range(CLASS_SAMPLES):
-            f = sample_member(ClassId(name), seed + k)
+        cid = ClassId(name)
+        table = bound_table(cid)
+
+        def violation(f):
             report = coefficient_bound_check(f, table, n_max=32)
-            if not report.ok:
-                failures += 1
-                if not witness:
-                    witness = _witness(f, f"violations={report.violations[:2]}")
+            return None if report.ok else _witness(f, f"violations={report.violations[:2]}")
+
         rec.counted(
             f"{name.value}: gap bound {bound_label} over {CLASS_SAMPLES} members, n<=32 [sampled]",
-            failures,
-            witness,
+            _members(cid, seed, CLASS_SAMPLES),
+            violation,
         )
     for tag, rule in [(CatalogTag.MACGREGOR_R, 1), (CatalogTag.CHICHRA_W, 2)]:
         f = make(tag, 64)
@@ -255,22 +275,19 @@ def _suite_t2_6(rec: _Recorder, seed: int) -> None:
     for name in (ClassName.R_H0, ClassName.W_H0, ClassName.U_H0):
         cid = ClassId(name)
         envelopes = {r: growth_envelope(cid, r) for r in (0.25, 0.5, 0.75)}
-        failures = 0
-        witness = ""
-        for k in range(CLASS_SAMPLES):
-            f = sample_member(cid, seed + k)
+
+        def outside(f):
             for r, (lo, hi) in envelopes.items():
                 vals = np.abs(f.h.evaluate(r * angles) + np.conj(f.g.evaluate(r * angles)))
                 if vals.min() < lo - 1e-9 or vals.max() > hi + 1e-9:
-                    failures += 1
-                    if not witness:
-                        witness = _witness(f, f"r={r}")
-                    break
+                    return _witness(f, f"r={r}")
+            return None
+
         rec.counted(
             f"{name.value}: modulus envelope at r in (0.25, 0.5, 0.75) over "
             f"{CLASS_SAMPLES} members [sampled]",
-            failures,
-            witness,
+            _members(cid, seed, CLASS_SAMPLES),
+            outside,
         )
 
 
@@ -341,20 +358,12 @@ def _suite_t2_11(rec: _Recorder, seed: int) -> None:
     rec.close("all-ones series is the product identity [exact]", dev, 0.0, 0.0)
 
     phi = make(CatalogTag.HALF_PLANE, 64).h
-    failures = 0
-    witness = ""
-    for k in range(CLASS_SAMPLES):
-        f = sample_member(ClassId(ClassName.R_H0), seed + k)
-        res = membership(tilde_convolve(phi, f), ClassId(ClassName.R_H0))
-        if not res.is_member:
-            failures += 1
-            if not witness:
-                witness = _witness(f, f"margin={res.margin:.3e}")
+    cid = ClassId(ClassName.R_H0)
     rec.counted(
         f"R_H0 closed under the product with the convex half-plane kernel, "
         f"{CLASS_SAMPLES} members [sampled]",
-        failures,
-        witness,
+        _members(cid, seed, CLASS_SAMPLES),
+        lambda f: _rejection(tilde_convolve(phi, f), cid, f),
     )
 
 
@@ -362,22 +371,18 @@ def _suite_t2_12(rec: _Recorder, seed: int) -> None:
     rng = np.random.default_rng(seed)
     for name in (ClassName.U_H0, ClassName.R_H0):
         cid = ClassId(name)
-        failures = 0
-        witness = ""
-        for k in range(CLASS_SAMPLES // 4):
-            members = [sample_member(cid, seed + 4 * k + j) for j in range(4)]
-            weights = rng.dirichlet(np.ones(4))
-            combo = convex_combination(weights, members)
-            res = membership(combo, cid)
-            if not res.is_member:
-                failures += 1
-                if not witness:
-                    witness = _witness(combo, f"margin={res.margin:.3e}")
+        # one weight draw per combination, in order: the suite's only random stream
+        combos = (
+            convex_combination(
+                rng.dirichlet(np.ones(4)), [sample_member(cid, seed + 4 * k + j) for j in range(4)]
+            )
+            for k in range(CLASS_SAMPLES // 4)
+        )
         rec.counted(
             f"{name.value}: convex combinations of members stay inside, "
             f"{CLASS_SAMPLES // 4} draws x 4 members [sampled]",
-            failures,
-            witness,
+            combos,
+            lambda combo: _rejection(combo, cid, combo),
         )
     u = make(CatalogTag.U_SHARP, 8)
     uc = make(CatalogTag.U_SHARP_CONJ, 8)
@@ -471,32 +476,28 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
     res = membership(ext, ClassId(ClassName.R_H0))
     rec.boolean("logarithmic extremal is a class member [oracle]", res.is_member, True)
 
-    failures = 0
-    witness = ""
-    for k in range(CLASS_SAMPLES):
-        f = sample_member(ClassId(ClassName.R_H0), seed + k)
-        r = membership(f, ClassId(ClassName.R_H0))
-        if not r.is_member:
-            failures += 1
-            if not witness:
-                witness = _witness(f, f"margin={r.margin:.3e}")
-    rec.counted(f"R_H0 generator always passes membership, {CLASS_SAMPLES} members [sampled]", failures, witness)
+    cid = ClassId(ClassName.R_H0)
+    rec.counted(
+        f"R_H0 generator always passes membership, {CLASS_SAMPLES} members [sampled]",
+        _members(cid, seed, CLASS_SAMPLES),
+        lambda f: _rejection(f, cid, f),
+    )
 
-    lam_failures = 0
-    witness = ""
     lam = _unit_roots(SWEEP_POINTS)
-    for k in range(100):
-        f = sample_member(ClassId(ClassName.R_H0), seed + 7000 + k)
-        for l in lam:
-            rotated = HarmonicMap(f.h, AnalyticSeries(l * f.g.coeffs))
-            if not membership(rotated, ClassId(ClassName.R_H0)).is_member:
-                lam_failures += 1
-                if not witness:
-                    witness = _witness(f, f"lambda={l:.3f}")
-                break
-    rec.counted("second-part rotations stay in the class, 100 members x 16 [sampled]", lam_failures, witness)
 
-    members = _sample_many(ClassName.R_H0, seed + 31000, RADIUS_MEMBERS)
+    def rotation_rejected(f):
+        for l in lam:
+            if not membership(HarmonicMap(f.h, AnalyticSeries(l * f.g.coeffs)), cid).is_member:
+                return _witness(f, f"lambda={l:.3f}")
+        return None
+
+    rec.counted(
+        "second-part rotations stay in the class, 100 members x 16 [sampled]",
+        _members(cid, seed + 7000, 100),
+        rotation_rejected,
+    )
+
+    members = list(_members(cid, seed + 31000, RADIUS_MEMBERS))
     _one_sided_convex(rec, "convexity radius floor sqrt(2)-1", members, math.sqrt(2) - 1)
 
 
@@ -509,18 +510,10 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     )
 
     cid = ClassId(ClassName.W_H0)
-    failures = 0
-    witness = ""
-    for k in range(PAIR_SAMPLES // 2):
-        f = sample_member(cid, seed + 2 * k)
-        F = sample_member(cid, seed + 2 * k + 1)
-        res = membership(harmonic_convolve(f, F), cid)
-        if not res.is_member:
-            failures += 1
-            if not witness:
-                witness = _witness(f, f"margin={res.margin:.3e}")
     rec.counted(
-        f"class closed under convolution, {PAIR_SAMPLES // 2} pairs [sampled]", failures, witness
+        f"class closed under convolution, {PAIR_SAMPLES // 2} pairs [sampled]",
+        _pairs(cid, seed, PAIR_SAMPLES // 2),
+        lambda pair: _rejection(harmonic_convolve(*pair), cid, pair[0]),
     )
 
     phi_half = make(CatalogTag.HALF_PLANE, 64).h
@@ -530,24 +523,18 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     c[1:] = 0.45 * (0.5 ** (n[1:] - 1))  # sum of moduli < 1/2: Re phi/z > 1/2
     phi_cheby = AnalyticSeries(c)
     for phi, label in [(phi_half, "convex kernel"), (phi_cheby, "Re phi/z > 1/2 kernel")]:
-        failures = 0
-        witness = ""
-        for k in range(PAIR_SAMPLES):
-            f = sample_member(cid, seed + 5000 + k)
-            res = membership(tilde_convolve(phi, f), cid)
-            if not res.is_member:
-                failures += 1
-                if not witness:
-                    witness = _witness(f, f"margin={res.margin:.3e}")
-        rec.counted(f"closed under product with {label}, {PAIR_SAMPLES} members [sampled]", failures, witness)
+        rec.counted(
+            f"closed under product with {label}, {PAIR_SAMPLES} members [sampled]",
+            _members(cid, seed + 5000, PAIR_SAMPLES),
+            lambda f: _rejection(tilde_convolve(phi, f), cid, f),
+        )
 
     chich = make(CatalogTag.CHICHRA_W, 64)
-    worst = math.inf
-    for k in range(RADIUS_MEMBERS):
-        f = sample_member(cid, seed + 9000 + k)
-        res = tilde_convolve(chich.h, f)
-        for r in (0.3, 0.6, 0.9):
-            worst = min(worst, convex_margin(res, r).min_margin)
+    worst = min(
+        convex_margin(res, r).min_margin
+        for res in (tilde_convolve(chich.h, f) for f in _members(cid, seed + 9000, RADIUS_MEMBERS))
+        for r in (0.3, 0.6, 0.9)
+    )
     rec.at_least(
         "product of two in-class functions is convex on sampled circles [sampled]", worst, 1e-9
     )
@@ -577,38 +564,34 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
 
     for name, bound_pow in [(ClassName.U_H0, 1), (ClassName.V_H0, 2)]:
         cid = ClassId(name)
-        failures = 0
-        witness = ""
-        for k in range(CLASS_SAMPLES):
-            f = sample_member(cid, seed + k)
+
+        def out_of_bounds(f):
             n = np.arange(2, f.order + 1, dtype=np.float64)
             ok = (
                 np.all(np.abs(f.h.coeffs[1:]) <= 1.0 / n**bound_pow + 1e-12)
                 and np.all(np.abs(f.g.coeffs[1:]) <= 1.0 / n**bound_pow + 1e-12)
                 and membership(f, cid).is_member
             )
-            if not ok:
-                failures += 1
-                if not witness:
-                    witness = _witness(f)
+            return None if ok else _witness(f)
+
         rec.counted(
             f"{name.value}: per-part coefficient bounds 1/n^{bound_pow} over "
             f"{CLASS_SAMPLES} members [sampled]",
-            failures,
-            witness,
+            _members(cid, seed, CLASS_SAMPLES),
+            out_of_bounds,
         )
 
-    members = _sample_many(ClassName.U_H0, seed + 17000, RADIUS_MEMBERS)
+    u_cid, v_cid = ClassId(ClassName.U_H0), ClassId(ClassName.V_H0)
+    members = list(_members(u_cid, seed + 17000, RADIUS_MEMBERS))
     _one_sided_convex(rec, "convexity radius floor 1/2", members, 0.5)
 
-    worst_star = math.inf
-    worst_conv = math.inf
-    for k in range(100):
-        fu = sample_member(ClassId(ClassName.U_H0), seed + 23000 + k)
-        fv = sample_member(ClassId(ClassName.V_H0), seed + 29000 + k)
-        for r in (0.3, 0.6, 0.9):
-            worst_star = min(worst_star, starlike_margin(fu, r).min_margin)
-            worst_conv = min(worst_conv, convex_margin(fv, r).min_margin)
+    radii = (0.3, 0.6, 0.9)
+    worst_star = min(
+        starlike_margin(f, r).min_margin for f in _members(u_cid, seed + 23000, 100) for r in radii
+    )
+    worst_conv = min(
+        convex_margin(f, r).min_margin for f in _members(v_cid, seed + 29000, 100) for r in radii
+    )
     rec.at_least("U_H0 members fully starlike on sampled circles [sampled]", worst_star, 1e-9)
     rec.at_least("V_H0 members fully convex on sampled circles [sampled]", worst_conv, 1e-9)
 
@@ -616,35 +599,32 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
 def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     u_cid = ClassId(ClassName.U_H0)
     v_cid = ClassId(ClassName.V_H0)
-    fail_u, fail_uv, fail_v = 0, 0, 0
-    witness_u = witness_uv = witness_v = ""
-    for k in range(PAIR_SAMPLES):
-        f = sample_member(u_cid, seed + 2 * k)
-        F = sample_member(u_cid, seed + 2 * k + 1)
-        conv = harmonic_convolve(f, F)
-        if not membership(conv, u_cid).is_member:
-            fail_u += 1
-            witness_u = witness_u or _witness(conv)
-        if not membership(conv, v_cid).is_member:
-            fail_uv += 1
-            witness_uv = witness_uv or _witness(conv)
-        fv = sample_member(v_cid, seed + 100000 + 2 * k)
-        Fv = sample_member(v_cid, seed + 100000 + 2 * k + 1)
-        if not membership(harmonic_convolve(fv, Fv), v_cid).is_member:
-            fail_v += 1
-            witness_v = witness_v or _witness(fv)
-    rec.counted(f"U*U lands in U, {PAIR_SAMPLES} pairs [sampled]", fail_u, witness_u)
-    rec.counted(f"U*U lands in V, {PAIR_SAMPLES} pairs [sampled]", fail_uv, witness_uv)
-    rec.counted(f"V*V lands in V, {PAIR_SAMPLES} pairs [sampled]", fail_v, witness_v)
+    for cid, label in ((u_cid, "U*U lands in U"), (v_cid, "U*U lands in V")):
+        rec.counted(
+            f"{label}, {PAIR_SAMPLES} pairs [sampled]",
+            (harmonic_convolve(f, F) for f, F in _pairs(u_cid, seed, PAIR_SAMPLES)),
+            lambda conv: None if membership(conv, cid).is_member else _witness(conv),
+        )
+
+    def pair_rejected(pair):
+        return None if membership(harmonic_convolve(*pair), v_cid).is_member else _witness(pair[0])
+
+    rec.counted(
+        f"V*V lands in V, {PAIR_SAMPLES} pairs [sampled]",
+        _pairs(v_cid, seed + 100000, PAIR_SAMPLES),
+        pair_rejected,
+    )
+
+    def quadratic_sum(s: AnalyticSeries) -> float:
+        n = np.arange(2, s.order + 1, dtype=np.float64)
+        return float(np.sum(n**2 * np.abs(s.coeffs[1:]) ** 2))
 
     eps_grid = _unit_roots(SWEEP_POINTS)
-    worst = -math.inf
-    for k in range(PAIR_SAMPLES):
-        f = sample_member(v_cid, seed + 300000 + k)
-        for eps in eps_grid:
-            s = slice_map(f, eps)
-            n = np.arange(2, s.order + 1, dtype=np.float64)
-            worst = max(worst, float(np.sum(n**2 * np.abs(s.coeffs[1:]) ** 2)))
+    worst = max(
+        quadratic_sum(slice_map(f, eps))
+        for f in _members(v_cid, seed + 300000, PAIR_SAMPLES)
+        for eps in eps_grid
+    )
     rec.at_most(
         f"quadratic coefficient sum of slices stays below 1, {PAIR_SAMPLES} members x 16 [sampled]",
         worst,
@@ -652,37 +632,36 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     )
 
     phi = make(CatalogTag.HALF_PLANE, 64).h
-    fails = 0
-    witness = ""
-    for k in range(PAIR_SAMPLES):
-        fu = sample_member(u_cid, seed + 400000 + k)
-        fv = sample_member(v_cid, seed + 500000 + k)
-        if not membership(tilde_convolve(phi, fu), u_cid).is_member:
-            fails += 1
-            witness = witness or _witness(fu)
-        if not membership(tilde_convolve(phi, fv), v_cid).is_member:
-            fails += 1
-            witness = witness or _witness(fv)
-    rec.counted("convex kernel preserves both classes [sampled]", fails, witness)
 
-    worst_conv = math.inf
-    for k in range(RADIUS_MEMBERS):
-        f = sample_member(u_cid, seed + 600000 + 2 * k)
-        F = sample_member(u_cid, seed + 600000 + 2 * k + 1)
-        conv = harmonic_convolve(f, F)
-        for r in (0.3, 0.6, 0.9, 0.95):
-            worst_conv = min(worst_conv, convex_margin(conv, r).min_margin)
+    def kernel_rejected(item):
+        f, cid = item
+        return None if membership(tilde_convolve(phi, f), cid).is_member else _witness(f)
+
+    rec.counted(
+        "convex kernel preserves both classes [sampled]",
+        (
+            (sample_member(cid, seed + offset + k), cid)
+            for k in range(PAIR_SAMPLES)
+            for offset, cid in ((400000, u_cid), (500000, v_cid))
+        ),
+        kernel_rejected,
+    )
+
+    worst_conv = min(
+        convex_margin(conv, r).min_margin
+        for conv in (harmonic_convolve(f, F) for f, F in _pairs(u_cid, seed + 600000, RADIUS_MEMBERS))
+        for r in (0.3, 0.6, 0.9, 0.95)
+    )
     rec.at_least("U*U convolutions convex on sampled circles [sampled]", worst_conv, 1e-9)
 
 
 def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.S_R)
-    failures = 0
-    for k in range(100):
-        f = sample_member(cid, seed + k)
-        if not membership(f, cid).is_member:
-            failures += 1
-    rec.counted("real-coefficient generator accepted, 100 members [sampled]", failures)
+    rec.counted(
+        "real-coefficient generator accepted, 100 members [sampled]",
+        _members(cid, seed, 100),
+        lambda f: None if membership(f, cid).is_member else "",
+    )
 
     h = np.zeros(16, dtype=np.complex128)
     h[0] = 1.0
@@ -725,16 +704,16 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
         0.0,
         1e-14,
     )
-    rec.at_most("the two coefficient transforms take under 1 ms [oracle]", op_elapsed, 1e-3)
+    rec.boolean("the two coefficient transforms take under 1 ms [oracle]", op_elapsed <= 1e-3, True)
+
+    def slice_gap(f: HarmonicMap, eps: complex) -> float:
+        lhs = slice_map(alexander_plus(f), eps)
+        rhs = alexander(slice_map(f, eps))
+        return float(np.max(np.abs(lhs.coeffs - rhs.coeffs)))
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(50):
-        f = _random_map(rng)
-        for eps in _unit_roots(SWEEP_POINTS):
-            lhs = slice_map(alexander_plus(f), eps)
-            rhs = alexander(slice_map(f, eps))
-            worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+    eps_grid = _unit_roots(SWEEP_POINTS)
+    worst = max(slice_gap(f, eps) for f in (_random_map(rng) for _ in range(50)) for eps in eps_grid)
     rec.at_most("slices commute with the operator, 50 maps x 16 eps [exact]", worst, 1e-15)
 
     f = _random_map(rng)
@@ -768,34 +747,33 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
         1e-12,
     )
 
-    worst_star = math.inf
-    worst_conv = math.inf
-    fails = 0
-    witness = ""
-    for k in range(CLASS_SAMPLES):
-        fr = sample_member(ClassId(ClassName.R_H0), seed + k)
-        fu = sample_member(ClassId(ClassName.U_H0), seed + k)
-        lam_r = alexander_plus(fr)
-        lam_u = alexander_plus(fu)
-        if k < 100:
-            for r in (0.3, 0.6, 0.9):
-                worst_star = min(worst_star, starlike_margin(lam_r, r).min_margin)
-            for r in (0.3, 0.6, 0.9, 0.95):
-                worst_conv = min(worst_conv, convex_margin(lam_u, r).min_margin)
-        ok = (
-            membership(lam_r, ClassId(ClassName.W_H0)).is_member
-            and membership(lam_u, ClassId(ClassName.V_H0)).is_member
-            and membership(alexander_minus(fu), ClassId(ClassName.V_H0)).is_member
-        )
-        if not ok:
-            fails += 1
-            witness = witness or _witness(fr)
+    r_cid, u_cid = ClassId(ClassName.R_H0), ClassId(ClassName.U_H0)
+    worst_star = min(
+        starlike_margin(lam, r).min_margin
+        for lam in map(alexander_plus, _members(r_cid, seed, 100))
+        for r in (0.3, 0.6, 0.9)
+    )
+    worst_conv = min(
+        convex_margin(lam, r).min_margin
+        for lam in map(alexander_plus, _members(u_cid, seed, 100))
+        for r in (0.3, 0.6, 0.9, 0.95)
+    )
     rec.at_least("operator images of R_H0 members starlike on circles [sampled]", worst_star, 1e-9)
     rec.at_least("operator images of U_H0 members convex on circles, r<=0.95 [sampled]", worst_conv, 1e-9)
+
+    def off_target(pair):
+        fr, fu = pair
+        ok = (
+            membership(alexander_plus(fr), ClassId(ClassName.W_H0)).is_member
+            and membership(alexander_plus(fu), ClassId(ClassName.V_H0)).is_member
+            and membership(alexander_minus(fu), ClassId(ClassName.V_H0)).is_member
+        )
+        return None if ok else _witness(fr)
+
     rec.counted(
         f"operator lands R_H0 in W_H0 and U_H0 in V_H0 (both signs), {CLASS_SAMPLES} members [sampled]",
-        fails,
-        witness,
+        zip(_members(r_cid, seed, CLASS_SAMPLES), _members(u_cid, seed, CLASS_SAMPLES)),
+        off_target,
     )
 
 
@@ -805,7 +783,7 @@ FIG_MARGIN_RADII = (0.90, 0.93, 0.96)
 FIG_SERIES_ORDER = 1536
 
 
-def _suite_fig(rec: _Recorder, seed: int, which: str, out_dir) -> None:
+def _suite_fig(rec: _Recorder, seed: int, which: str) -> None:
     if which == "FIG1":
         tag, base, margin_fn, functional = (
             CatalogTag.ALEXANDER_PLUS_K,
@@ -823,15 +801,13 @@ def _suite_fig(rec: _Recorder, seed: int, which: str, out_dir) -> None:
         )
         fname = "fig2.svg"
     big = alexander_plus(make(base, FIG_SERIES_ORDER))
-    worst = math.inf
-    for r in FIG_MARGIN_RADII:
-        worst = min(worst, margin_fn(big, r).min_margin)
+    worst = min(margin_fn(big, r).min_margin for r in FIG_MARGIN_RADII)
     rec.at_most(
         f"{tag.value}: {functional} margin goes negative on r in {FIG_MARGIN_RADII} [oracle]",
         worst,
         -1e-6,
     )
-    out = Path(out_dir) / fname
+    out = rec.out_dir / fname
     render_image(make(tag, 256), FIG_RADII, FIG_SAMPLES, out)
     data = out.read_bytes()
     rec.boolean(f"{fname} written ({len(data)} bytes) [exact]", len(data) > 0, True)
@@ -843,18 +819,26 @@ def _suite_fig(rec: _Recorder, seed: int, which: str, out_dir) -> None:
     )
 
 
+def _relative_floors(rec: _Recorder, seed: int, name: ClassName, floor: str, configs) -> None:
+    """Membership of 10 sampled members and the one-sided convexity floor per reference."""
+    for label, ref, bound in configs:
+        cid = ClassId(name, reference_map=ref)
+        members = list(_members(cid, seed, RADIUS_MEMBERS, order=200))
+        rec.counted(
+            f"relative class membership holds ({label}) [sampled]",
+            members[:10],
+            lambda f: None if membership(f, cid).is_member else "",
+        )
+        _one_sided_convex(rec, f"{floor} with {label}", members, bound)
+
+
 def _suite_t4_7(rec: _Recorder, seed: int) -> None:
     configs = [
         ("starlike reference", _reference_series(CatalogTag.KOEBE), 3 - 2 * math.sqrt(2)),
         ("convex reference", _reference_series(CatalogTag.HALF_PLANE), 2 - math.sqrt(3)),
         ("positive-derivative reference", _reference_series(CatalogTag.MACGREGOR_R), math.sqrt(5) - 2),
     ]
-    for label, ref, bound in configs:
-        cid = ClassId(ClassName.R_H0_G, reference_map=ref)
-        members = [sample_member(cid, seed + k, order=200) for k in range(RADIUS_MEMBERS)]
-        bad = sum(1 for f in members[:10] if not membership(f, cid).is_member)
-        rec.counted(f"relative class membership holds ({label}) [sampled]", bad)
-        _one_sided_convex(rec, f"relative convexity floor with {label}", members, bound)
+    _relative_floors(rec, seed, ClassName.R_H0_G, "relative convexity floor", configs)
 
 
 def _suite_t4_8(rec: _Recorder, seed: int) -> None:
@@ -874,12 +858,7 @@ def _suite_t4_8(rec: _Recorder, seed: int) -> None:
         ),
         ("Re G' > 1/2 reference", _re_half_reference(), root),
     ]
-    for label, ref, bound in configs:
-        cid = ClassId(ClassName.F_H0_G, reference_map=ref)
-        members = [sample_member(cid, seed + k, order=200) for k in range(RADIUS_MEMBERS)]
-        bad = sum(1 for f in members[:10] if not membership(f, cid).is_member)
-        rec.counted(f"relative class membership holds ({label}) [sampled]", bad)
-        _one_sided_convex(rec, f"bounded-distortion convexity floor with {label}", members, bound)
+    _relative_floors(rec, seed, ClassName.F_H0_G, "bounded-distortion convexity floor", configs)
 
 
 _SUITES = {
@@ -896,8 +875,8 @@ _SUITES = {
     "T3.9": _suite_t3_9,
     "T3.10": _suite_t3_10,
     "D4.1-C4.5": _suite_d4,
-    "FIG1": None,  # handled specially (needs out_dir)
-    "FIG2": None,
+    "FIG1": partial(_suite_fig, which="FIG1"),
+    "FIG2": partial(_suite_fig, which="FIG2"),
     "T4.7": _suite_t4_7,
     "T4.8": _suite_t4_8,
 }
@@ -911,14 +890,10 @@ def run_suite(suite_id: str, seed: int = 42, out_dir=".") -> SuiteReport:
     """Run one suite deterministically under the seed."""
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(_SUITES)}")
-    rec = _Recorder()
+    rec = _Recorder(out_dir)
     t0 = time.perf_counter()
-    if suite_id in ("FIG1", "FIG2"):
-        _suite_fig(rec, seed, suite_id, out_dir)
-    else:
-        _SUITES[suite_id](rec, seed)
-    report = SuiteReport(suite_id, seed, rec.checks, time.perf_counter() - t0)
-    return report
+    _SUITES[suite_id](rec, seed)
+    return SuiteReport(suite_id, seed, rec.checks, time.perf_counter() - t0)
 
 
 def run_all(seed: int = 42, out_dir=".") -> list[SuiteReport]:

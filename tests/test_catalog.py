@@ -110,3 +110,29 @@ class TestSeriesClosedFormAgreement:
         series_vals = eval_map_series(f, zs)
         closed_vals = eval_closed(tag, zs)
         assert np.max(np.abs(series_vals - closed_vals)) < 1e-6, tag
+
+
+class TestIntegerFormulas:
+    """The integer coefficient formulas re-derived from the printed rational maps."""
+
+    @pytest.mark.parametrize(
+        "tag, h_expr, g_expr",
+        [
+            (
+                CatalogTag.HARMONIC_KOEBE,
+                "(z - z**2/2 + z**3/6) / (1 - z)**3",
+                "(z**2/2 + z**3/6) / (1 - z)**3",
+            ),
+            (CatalogTag.HARMONIC_HALF_PLANE, "(z - z**2/2) / (1 - z)**2", "-(z**2/2) / (1 - z)**2"),
+        ],
+    )
+    def test_taylor_coefficients_match_series_expansion(self, tag, h_expr, g_expr):
+        sympy = pytest.importorskip("sympy")
+        z = sympy.Symbol("z")
+        order = 64
+        f = make(tag, order)
+        for expr, coeffs in ((h_expr, f.h.coeffs), (g_expr, f.g.coeffs)):
+            taylor = sympy.series(sympy.sympify(expr), z, 0, order + 1).removeO()
+            exact = [taylor.coeff(z, n) for n in range(1, order + 1)]
+            assert all(c.is_Rational for c in exact)
+            np.testing.assert_array_equal(coeffs, [float(c) for c in exact])

@@ -62,6 +62,51 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             identity_series(4).evaluate(z)
 
+    @pytest.mark.parametrize("order", [1, 8, 400, 1536])
+    def test_array_path_matches_reference_recurrence(self, order):
+        rng = np.random.default_rng(order)
+        s = AnalyticSeries(rng.standard_normal(order) + 1j * rng.standard_normal(order), const=0.25j)
+        z = 0.97 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (4, 16)))
+        acc = np.zeros_like(z)
+        for c in s.coeffs[::-1]:
+            acc = acc * z + c
+        np.testing.assert_array_equal(s.evaluate(z), s.const + acc * z)
+
+    @given(
+        series_strategy,
+        finite_complex,
+        st.lists(
+            st.complex_numbers(max_magnitude=0.99, allow_nan=False, allow_infinity=False),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=60)
+    def test_scalar_path_matches_array_path(self, s, const, points):
+        s = AnalyticSeries(s.coeffs, const=const)
+        z = np.array(points, dtype=np.complex128)
+        values = s.evaluate(z)
+        # Horner's rounding error scales with sum |c_n| |z|^n, not with |s(z)|
+        scale = AnalyticSeries(np.abs(s.coeffs)).evaluate(np.abs(z)).real + abs(s.const)
+        for zk, vk, sk in zip(points, values, scale):
+            value = s.evaluate(zk)
+            assert type(value) is complex
+            assert abs(value - vk) <= 1e-15 * sk
+
+    @pytest.mark.parametrize("z", [0.5 + 0.1j, np.zeros(3), np.full((2, 4), 0.1j)])
+    def test_zero_series_returns_zeros_of_input_shape(self, z):
+        out = AnalyticSeries(np.zeros(6)).evaluate(z)
+        if np.ndim(z) == 0:
+            assert type(out) is complex and out == 0
+        else:
+            assert out.shape == np.shape(z) and out.dtype == np.complex128
+            assert not out.any()
+
+    def test_constant_only_series_is_not_zero(self):
+        z = np.array([0.0, 0.5j])
+        np.testing.assert_array_equal(AnalyticSeries(np.zeros(3), const=2.0).evaluate(z), [2.0, 2.0])
+        assert AnalyticSeries(np.zeros(3), const=2.0).evaluate(0.5) == 2.0
+
 
 class TestDerivative:
     def test_identity_derivative_is_one(self):
@@ -193,6 +238,19 @@ class TestLinearCombine:
 
 
 class TestInvariants:
+    @pytest.mark.parametrize(
+        "coeffs, const",
+        [
+            ([1.0, np.nan], 0.0),
+            ([1.0, complex(0.0, np.inf)], 0.0),
+            ([1.0, -np.inf], 0.0),
+            ([1.0, 2.0], np.nan),
+        ],
+    )
+    def test_non_finite_rejected(self, coeffs, const):
+        with pytest.raises(ValueError, match="finite"):
+            AnalyticSeries(coeffs, const=const)
+
     def test_normalized_predicate(self):
         assert identity_series(4).is_normalized()
         assert not AnalyticSeries([2.0, 0.0]).is_normalized()

@@ -1,0 +1,70 @@
+import pytest
+
+from harmap.verify import _Recorder, run_suite, suite_ids
+
+
+class TestCounted:
+    def test_counts_failures_and_keeps_first_witness(self):
+        rec = _Recorder(".")
+        rec.counted("odd items pass", range(6), lambda k: None if k % 2 else f"item {k}")
+        (check,) = rec.checks
+        assert not check.passed
+        assert check.measured == "3 (first: item 0)"
+        assert check.expected == "0"
+
+    def test_all_passing(self):
+        rec = _Recorder(".")
+        rec.counted("everything passes", iter(range(4)), lambda k: None)
+        (check,) = rec.checks
+        assert check.passed
+        assert check.measured == "0"
+
+    def test_empty_witness_counts_as_failure(self):
+        rec = _Recorder(".")
+        rec.counted("no witness text", [1, 2], lambda k: "")
+        assert rec.checks[0].measured == "2 (first: )"
+
+
+class TestRunSuite:
+    @pytest.mark.parametrize("suite_id", ["T3.10", "T2.16", "FIG1", "FIG2"])
+    def test_repeatable_and_passing(self, suite_id, tmp_path):
+        runs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            runs.append(run_suite(suite_id, 42, tmp_path / name))
+        assert runs[0].passed
+        assert runs[0].lines() == runs[1].lines()
+
+    @pytest.mark.parametrize("which", ["FIG1", "FIG2"])
+    def test_figures_written_to_out_dir(self, which, tmp_path):
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            run_suite(which, 42, tmp_path / name)
+        svg = f"{which.lower()}.svg"
+        assert (tmp_path / "a" / svg).read_bytes() == (tmp_path / "b" / svg).read_bytes()
+        assert (tmp_path / "a" / svg).read_bytes().startswith(b"<?xml")
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValueError, match="unknown suite"):
+            run_suite("T9.99")
+
+    def test_suite_ids_in_report_order(self):
+        assert suite_ids() == (
+            "T2.5",
+            "T2.6",
+            "T2.9",
+            "T2.11",
+            "T2.12",
+            "R2.14",
+            "T2.16",
+            "T3.3",
+            "T3.5",
+            "T3.7-C3.8",
+            "T3.9",
+            "T3.10",
+            "D4.1-C4.5",
+            "FIG1",
+            "FIG2",
+            "T4.7",
+            "T4.8",
+        )
