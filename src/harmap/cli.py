@@ -148,6 +148,8 @@ def _cmd_radius(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not Path(args.out_dir).is_dir():
+        raise InputError(f"--out-dir {args.out_dir}: not an existing directory")
     reports = (
         run_all(args.seed, args.out_dir)
         if args.suite == "all"

@@ -14,6 +14,7 @@ scan followed by bisection.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,8 @@ ANGLE_TOL = 1e-9
 VALUE_TOL = 1e-13
 #: cap on the points evaluated while refining one margin
 MAX_REFINEMENTS = 12
+#: cap on the candidate segment pairs the polygon test holds at once
+PAIR_CHUNK = 1 << 16
 
 
 class DegenerateCurveError(ArithmeticError):
@@ -106,9 +109,24 @@ class RadiusEstimate:
         return 0.5 * (self.lo + self.hi)
 
 
-def _circle(r: float, angles: int) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=16)
+def _unit_circle(angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Equispaced angles in [0, 2*pi) and their points on |z| = 1, read-only.
+
+    Cached per angle count only: a run uses a handful of counts, while
+    radii vary freely (bisection in ``radius_estimate``).
+    """
     theta = np.arange(angles) * (2.0 * np.pi / angles)
-    return theta, r * np.exp(1j * theta)
+    unit = np.exp(1j * theta)
+    theta.setflags(write=False)
+    unit.setflags(write=False)
+    return theta, unit
+
+
+def _circle(r: float, angles: int) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and points of |z| = r; the angle table is shared and read-only."""
+    theta, unit = _unit_circle(angles)
+    return theta, r * unit
 
 
 def _check_radius(r: float) -> None:
@@ -225,32 +243,57 @@ def convex_margin(f: HarmonicMap, r: float, angles: int = MARGIN_ANGLES) -> Geom
 def _polygon_is_simple(w: np.ndarray) -> bool:
     """Strict segment-pair test on the closed polygon through w.
 
-    Adjacent segments share an endpoint and are skipped; tangential
-    (collinear) contacts are not counted as crossings.
+    Segment k runs from w[k] to w[k + 1] (indices mod m).  A pair of
+    segments crosses when the endpoints of each lie strictly on opposite
+    sides of the other's line (the sign test ``d1*d2 < 0 and d3*d4 < 0``
+    on cross products).  Adjacent segments share an endpoint and are
+    skipped; tangential (collinear) contacts are not counted as
+    crossings.
+
+    Only segments whose bounding boxes overlap can cross.  A sweep over
+    the boxes sorted by smallest x selects those pairs, at most
+    ``PAIR_CHUNK`` at a time, and the sign test runs on them alone, with
+    the lower-indexed segment first.  Pairs with disjoint boxes are never
+    tested, so a nearly collinear pair whose signs rounding would flip is
+    not counted either.  Cost: O(m log m + candidate pairs) time and
+    O(m + PAIR_CHUNK) memory; a polygon whose boxes all overlap still
+    takes O(m**2) time.
     """
     m = w.size
     x, y = w.real, w.imag
     x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    y_lo, y_hi = np.minimum(y, y2), np.maximum(y, y2)
+    x_lo = np.minimum(x, x2)
+    order = np.argsort(x_lo, kind="stable")
+    # sorted position k overlaps in x the positions k + 1, ..., ends[k] - 1
+    ends = np.searchsorted(x_lo[order], np.maximum(x, x2)[order], side="right")
+    counts = ends - np.arange(1, m + 1)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
 
     def cross(ax, ay, bx, by):
         return ax * by - ay * bx
 
-    for i in range(m - 2):
-        j0 = i + 2
-        j1 = m if i > 0 else m - 1  # segment (m-1, 0) is adjacent to segment 0
-        js = np.arange(j0, j1)
-        if js.size == 0:
-            continue
-        axv, ayv = x[i], y[i]
-        bxv, byv = x2[i], y2[i]
-        cxv, cyv = x[js], y[js]
-        dxv, dyv = x2[js], y2[js]
-        d1 = cross(cxv - axv, cyv - ayv, bxv - axv, byv - ayv)
-        d2 = cross(dxv - axv, dyv - ayv, bxv - axv, byv - ayv)
-        d3 = cross(axv - cxv, ayv - cyv, dxv - cxv, dyv - cyv)
-        d4 = cross(bxv - cxv, byv - cyv, dxv - cxv, dyv - cyv)
+    start = 0
+    while start < m:
+        limit = offsets[start] + PAIR_CHUNK
+        stop = max(start + 1, int(np.searchsorted(offsets, limit, side="right")) - 1)
+        rows = np.repeat(np.arange(start, stop), counts[start:stop])
+        cols = np.arange(rows.size) + (rows + 1 - (offsets[rows] - offsets[start]))
+        i, j = order[rows], order[cols]
+        i, j = np.minimum(i, j), np.maximum(i, j)
+        gap = j - i
+        # segment (m-1, 0) is adjacent to segment 0
+        keep = (y_lo[j] <= y_hi[i]) & (y_lo[i] <= y_hi[j]) & (gap > 1) & (gap < m - 1)
+        i, j = i[keep], j[keep]
+        ax, ay, bx, by = x[i], y[i], x2[i], y2[i]
+        cx, cy, dx, dy = x[j], y[j], x2[j], y2[j]
+        d1 = cross(cx - ax, cy - ay, bx - ax, by - ay)
+        d2 = cross(dx - ax, dy - ay, bx - ax, by - ay)
+        d3 = cross(ax - cx, ay - cy, dx - cx, dy - cy)
+        d4 = cross(bx - cx, by - cy, dx - cx, dy - cy)
         if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
             return False
+        start = stop
     return True
 
 
@@ -264,7 +307,12 @@ def univalent_on_circle(f: HarmonicMap, r: float, angles: int = UNIVALENCE_ANGLE
     """Certify one-to-one behavior of f on |z| = r at polygon resolution.
 
     Requires a simple sample polygon, winding number 1 about f(0) = 0,
-    and a positive Jacobian at every sample.
+    and a positive Jacobian at every sample.  Simplicity is the strict
+    crossing test of ``_polygon_is_simple``: touching and collinear
+    contacts do not count as crossings.  Beyond evaluating f, the cost is
+    O(m log m + candidate pairs) for m = ``angles`` samples, where the
+    candidates are the non-adjacent segment pairs whose bounding boxes
+    overlap.
     """
     _check_radius(r)
     _, z = _circle(r, angles)

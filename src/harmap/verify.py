@@ -452,8 +452,22 @@ def _suite_t2_16(rec: _Recorder, seed: int) -> None:
             r / (1 + r) ** 2,
             0.0,
         )
-    rec.close("quarter covering constant r/(1+r)^2 at r=1 [constant]", 1.0 / (1 + 1.0) ** 2, 0.25, 0.0)
-    rec.close("half covering constant r/(1+r) at r=1 [constant]", 1.0 / 2.0, 0.5, 0.0)
+    # |k(-r)| and |l(-r)| fall short of 1/4 and 1/2 by (1-r)^2/(4(2-r)^2) ~ (1-r)^2/16
+    # and (1-r)/(2(2-r)) ~ (1-r)/4; the tolerances are twice those gaps
+    gap = 1e-6
+    r = 1 - gap
+    rec.close(
+        "quarter covering constant |k(-r)| -> 1/4 at r=1-1e-6 [constant]",
+        float(abs(eval_closed(CatalogTag.KOEBE, -r))),
+        0.25,
+        gap**2 / 8,
+    )
+    rec.close(
+        "half covering constant |l(-r)| -> 1/2 at r=1-1e-6 [constant]",
+        float(abs(eval_closed(CatalogTag.HALF_PLANE, -r))),
+        0.5,
+        gap / 2,
+    )
 
     koebe = make(CatalogTag.KOEBE, 64)
     est = radius_estimate(koebe, "convex", tol=1e-4)
@@ -660,7 +674,7 @@ def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     rec.counted(
         "real-coefficient generator accepted, 100 members [sampled]",
         _members(cid, seed, 100),
-        lambda f: None if membership(f, cid).is_member else "",
+        lambda f: _rejection(f, cid, f),
     )
 
     h = np.zeros(16, dtype=np.complex128)
@@ -827,7 +841,7 @@ def _relative_floors(rec: _Recorder, seed: int, name: ClassName, floor: str, con
         rec.counted(
             f"relative class membership holds ({label}) [sampled]",
             members[:10],
-            lambda f: None if membership(f, cid).is_member else "",
+            lambda f: _rejection(f, cid, f),
         )
         _one_sided_convex(rec, f"{floor} with {label}", members, bound)
 

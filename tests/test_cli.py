@@ -52,6 +52,21 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "member=True" in out and "member=False" in out
 
+    @pytest.mark.parametrize("suite", ["all", "FIG1", "T3.10"])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_verify_out_dir_checked_before_any_suite(self, suite, kind, tmp_path, capsys, monkeypatch):
+        def no_suite(*args):
+            raise AssertionError("a suite ran before --out-dir was checked")
+
+        monkeypatch.setattr("harmap.cli.run_all", no_suite)
+        monkeypatch.setattr("harmap.cli.run_suite", no_suite)
+        out_dir = tmp_path / "out"
+        if kind == "file":
+            out_dir.write_text("", encoding="utf-8")
+        assert main(["verify", "--suite", suite, "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(out_dir) in err
+
 
 @st.composite
 def harmonic_maps(draw):

@@ -1,11 +1,16 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from harmap.catalog import CatalogTag, make
+from harmap.classes import ClassId, ClassName, sample_member
 from harmap.geometry import (
+    PAIR_CHUNK,
     DegenerateCurveError,
     RootNotFoundError,
     SamplingGrid,
@@ -13,9 +18,12 @@ from harmap.geometry import (
     radius_estimate,
     smallest_positive_root,
     starlike_margin,
+    _circle,
+    _polygon_is_simple,
+    _unit_circle,
     univalent_on_circle,
 )
-from harmap.harmonic import HarmonicMap, analytic_map, slice_map
+from harmap.harmonic import HarmonicMap, analytic_map, eval_map, slice_map
 from harmap.series import AnalyticSeries, identity_series
 
 
@@ -178,6 +186,156 @@ class TestUnivalence:
         # h = z + 2 z^2 folds the circle r = 0.9 (derivative vanishes inside)
         f = analytic_map(AnalyticSeries([1.0, 2.0]))
         assert not univalent_on_circle(f, 0.9, 512)
+
+
+def pairwise_is_simple(w):
+    """Reference: the strict sign test on every non-adjacent segment pair, one segment at a time."""
+    m = w.size
+    x, y = w.real, w.imag
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+
+    def cross(ax, ay, bx, by):
+        return ax * by - ay * bx
+
+    for i in range(m - 2):
+        j0 = i + 2
+        j1 = m if i > 0 else m - 1  # segment (m-1, 0) is adjacent to segment 0
+        js = np.arange(j0, j1)
+        if js.size == 0:
+            continue
+        axv, ayv = x[i], y[i]
+        bxv, byv = x2[i], y2[i]
+        cxv, cyv = x[js], y[js]
+        dxv, dyv = x2[js], y2[js]
+        d1 = cross(cxv - axv, cyv - ayv, bxv - axv, byv - ayv)
+        d2 = cross(dxv - axv, dyv - ayv, bxv - axv, byv - ayv)
+        d3 = cross(axv - cxv, ayv - cyv, dxv - cxv, dyv - cyv)
+        d4 = cross(bxv - cxv, byv - cyv, dxv - cxv, dyv - cyv)
+        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+            return False
+    return True
+
+
+def zigzag(n):
+    """Integer zig-zag between x = -n and x = n (n even), closed round the right and below.
+
+    Vertex k sits at (s n, s n + k) with s = -1 for even k and +1 for odd
+    k: consecutive up and down strokes are parallel and shifted by 2, so
+    the chain is simple, and each stroke spans x in [-n, n] and y over
+    more than half of [-n, 2n], so the strokes' boxes all overlap.
+    """
+    k = np.arange(n)
+    s = np.where(k % 2, 1, -1)
+    chain = s * n + 1j * (s * n + k)
+    loop = [2 * n + 2j * n, 2 * n - 3j * n, -2 * n - 3j * n]
+    return np.concatenate([chain, loop])
+
+
+_MEMBER_CLASSES = [ClassId(name) for name in (ClassName.R_H0, ClassName.F_H0, ClassName.U_H0, ClassName.V_H0)]
+
+
+class TestPolygonTest:
+    def test_square_is_simple(self):
+        assert _polygon_is_simple(np.array([0, 1, 1 + 1j, 1j]))
+
+    def test_bow_tie_is_not_simple(self):
+        assert not _polygon_is_simple(np.array([0, 1 + 1j, 1, 1j]))
+
+    def test_vertex_touching_an_edge_is_not_a_crossing(self):
+        # vertex 2 + 0j lies inside edge (0, 4): a tangential contact
+        w = np.array([0, 4, 4 + 3j, 2, 3j])
+        assert _polygon_is_simple(w)
+        assert pairwise_is_simple(w)
+
+    def test_overlapping_boxes_run_through_several_chunks(self):
+        n = 1024
+        w = zigzag(n)
+        for part in (np.real, np.imag):
+            ends = part(w[: n - 1]), part(w[1:n])
+            assert np.minimum(*ends).max() <= np.maximum(*ends).min()  # the strokes' boxes all overlap
+        assert (n - 1) * (n - 2) // 2 > 4 * PAIR_CHUNK
+        assert _polygon_is_simple(w) and pairwise_is_simple(w)
+        # pull one late vertex down across the strokes below it
+        w[n - 5] -= 8j
+        assert not _polygon_is_simple(w) and not pairwise_is_simple(w)
+
+    def test_box_disjoint_pair_is_not_tested(self):
+        # four points on the line y = x/3, up to rounding: exactly, no two
+        # segments cross, but the sign test rounds segments (0, 1) and (2, 3),
+        # whose boxes are disjoint, into a crossing; the sweep never tests them
+        t = np.array([-8.0, 5.0, 5.5, 6.75])
+        w = t + 1j * (t * (1 / 3))
+
+        def side(a, b, c):
+            a, b, c = ((Fraction(p.real), Fraction(p.imag)) for p in (a, b, c))
+            return (c[0] - a[0]) * (b[1] - a[1]) - (c[1] - a[1]) * (b[0] - a[0])
+
+        a, b, c, d = w
+        assert not (side(a, b, c) * side(a, b, d) < 0 and side(c, d, a) * side(c, d, b) < 0)
+        assert not pairwise_is_simple(w)
+        assert _polygon_is_simple(w)
+
+    @given(
+        m=st.integers(3, 400),
+        seed=st.integers(0, 2**32 - 1),
+        span=st.integers(1, 12),
+        star=st.booleans(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_lattice_polygons_agree_exactly(self, m, seed, span, star):
+        # small integers: every cross product is exact, and collinear and
+        # touching contacts are common; ordering the points by angle about
+        # the origin gives polygons that are mostly simple
+        p = np.random.default_rng(seed).integers(-span, span + 1, (m, 2)).astype(float)
+        w = p[:, 0] + 1j * p[:, 1]
+        if star:
+            w = w[np.argsort(np.angle(w), kind="stable")]
+        assert _polygon_is_simple(w) == pairwise_is_simple(w)
+
+    @given(m=st.integers(3, 400), seed=st.integers(0, 2**32 - 1), star=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_random_walks_agree(self, m, seed, star):
+        rng = np.random.default_rng(seed)
+        w = np.cumsum(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        if star:
+            w = w[np.argsort(np.angle(w - w.mean()), kind="stable")]
+        assert _polygon_is_simple(w) == pairwise_is_simple(w)
+
+    @given(
+        m=st.integers(3, 400),
+        seed=st.integers(0, 2**16),
+        cls=st.sampled_from(_MEMBER_CLASSES),
+        r=st.floats(0.3, 0.99),
+        stretch=st.floats(1.0, 6.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_member_circle_images_agree(self, m, seed, cls, r, stretch):
+        # stretch 1 is the member itself; stretching every coefficient past the
+        # leading one folds some circle images, so both answers occur
+        f = sample_member(cls, seed, 16)
+        scale = np.full(f.order, stretch)
+        scale[0] = 1.0
+        f = HarmonicMap(AnalyticSeries(f.h.coeffs * scale), AnalyticSeries(f.g.coeffs * scale))
+        w = np.asarray(eval_map(f, _circle(r, m)[1]))
+        assert _polygon_is_simple(w) == pairwise_is_simple(w)
+
+
+class TestCircleTable:
+    @pytest.mark.parametrize("angles", [3, 64, 256, 2048])
+    def test_bitwise_equal_to_direct_evaluation(self, angles):
+        for r in (0.1, 0.5, 0.9, 0.99, 0.2 + 1e-9):
+            theta, z = _circle(r, angles)
+            direct = np.arange(angles) * (2.0 * np.pi / angles)
+            assert theta.tobytes() == direct.tobytes()
+            assert z.tobytes() == (r * np.exp(1j * direct)).tobytes()
+
+    def test_cached_table_is_read_only(self):
+        theta, unit = _unit_circle(128)
+        assert _unit_circle(128)[0] is theta
+        for table in (theta, unit, _circle(0.5, 128)[0]):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        assert _circle(0.5, 128)[1].flags.writeable
 
 
 class TestRadiusEstimate:

@@ -1,5 +1,7 @@
 import pytest
 
+from harmap import verify
+from harmap.classes import MembershipResult
 from harmap.verify import _Recorder, run_suite, suite_ids
 
 
@@ -68,3 +70,23 @@ class TestRunSuite:
             "T4.7",
             "T4.8",
         )
+
+
+class TestMembershipWitnesses:
+    @pytest.mark.parametrize(
+        "suite_id, description, count",
+        [
+            ("T3.10", "real-coefficient generator accepted", 100),
+            ("T4.7", "relative class membership holds", 10),
+            ("T4.8", "relative class membership holds", 10),
+        ],
+    )
+    def test_rejected_members_are_named(self, suite_id, description, count, monkeypatch):
+        monkeypatch.setattr(verify, "RADIUS_MEMBERS", 10)
+        monkeypatch.setattr(verify, "membership", lambda f, cid: MembershipResult(False, -0.25, 0, "rejected"))
+        checks = [c for c in run_suite(suite_id).checks if c.description.startswith(description)]
+        assert checks
+        for check in checks:
+            assert not check.passed
+            assert check.measured.startswith(f"{count} (first: h[:4]=")
+            assert check.measured.endswith("margin=-2.500e-01)")
