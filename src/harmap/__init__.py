@@ -28,9 +28,11 @@ from .geometry import (
     RootNotFoundError,
     SamplingGrid,
     convex_margin,
+    convex_margins,
     radius_estimate,
     smallest_positive_root,
     starlike_margin,
+    starlike_margins,
     univalent_on_circle,
 )
 from .harmonic import (

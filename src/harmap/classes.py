@@ -274,24 +274,35 @@ def _sample_coefficient_class(c: ClassId, rng: np.random.Generator, order: int) 
     return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
 
 
+def _grid_scale(c: ClassId, q: np.ndarray, p: np.ndarray, rng: np.random.Generator) -> float:
+    """The scale s that puts the grid slack of 1 + s*q, s*p at a drawn target in [0.1, 0.7]."""
+    z = (G_VARIANT_GRID if c.reference_map is not None else DEFAULT_GRID).points()
+    qv = AnalyticSeries(q).evaluate(z)
+    pv = AnalyticSeries(p).evaluate(z)
+    target = rng.uniform(0.1, 0.7)
+    if c.name in (ClassName.F_H0, ClassName.F_H0_G):
+        worst = float(np.max(np.abs(qv) + np.abs(pv)))
+        return (1.0 - target) / worst
+    worst = float(np.min(np.real(qv) - np.abs(pv)))
+    return (1.0 - target) / (-worst) if worst < 0 else 1.0
+
+
 def _sample_derivative_class(
-    c: ClassId, rng: np.random.Generator, order: int, grid: SamplingGrid
+    c: ClassId, rng: np.random.Generator, order: int, seed: int, memo: dict | None
 ) -> HarmonicMap:
     # draw h' (or h' + z h'', or h'-1) as 1 + s*q and the g side as s*p,
     # then choose s so the grid slack hits a target in [0.1, 0.7]
     m = np.arange(1, order)
     q = _split_complex(rng, m.size) / m**2
     p = 0.4 * _split_complex(rng, m.size) / m**2
-    z = grid.points()
-    qv = AnalyticSeries(q).evaluate(z)
-    pv = AnalyticSeries(p).evaluate(z)
-    target = rng.uniform(0.1, 0.7)
-    if c.name in (ClassName.F_H0, ClassName.F_H0_G):
-        worst = float(np.max(np.abs(qv) + np.abs(pv)))
-        s = (1.0 - target) / worst
+    if memo is None:
+        s = _grid_scale(c, q, p, rng)
     else:
-        worst = float(np.min(np.real(qv) - np.abs(pv)))
-        s = (1.0 - target) / (-worst) if worst < 0 else 1.0
+        key = (c.name, id(c.reference_map), seed, order)
+        if key not in memo:
+            # the reference is kept with its scale, so its id is not reused while the memo lives
+            memo[key] = (_grid_scale(c, q, p, rng), c.reference_map)
+        s = memo[key][0]
 
     n = np.arange(2, order + 1)
     if c.name is ClassName.W_H0:
@@ -317,13 +328,23 @@ def _sample_derivative_class(
     return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
 
 
-def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
+def sample_member(c: ClassId, seed: int, order: int = 64, memo: dict | None = None) -> HarmonicMap:
     """Deterministic pseudo-random member of the class.
 
     Coefficient classes rescale a random draw so the defining sum lands
     in [0.3, 1]; derivative classes rescale so the grid margin lands in
     [0.1, 0.7].  The output always passes :func:`membership` on the
     grid that class is certified on.
+
+    ``memo``, a dict owned by the caller, spares a derivative class the
+    grid evaluation that picks its scale when the same draw repeats.  It
+    maps (class name, id of the reference series, seed, order) to the
+    scale, never to the map, so it stays small; a hit still draws the
+    coefficients and returns a map bit-identical to a draw without the
+    memo.  The memo holds each reference series it was keyed on, so the
+    id stays unique while the memo lives.  Scope it to one run (as
+    :func:`harmap.verify.run_all` does): it grows with every distinct
+    draw.  Coefficient classes do not use it.
     """
     c = c if isinstance(c, ClassId) else ClassId(c)
     rng = np.random.default_rng(seed)
@@ -340,6 +361,5 @@ def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
         g = np.zeros(order, dtype=np.complex128)
         return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
     if c.name in GRID_CLASSES:
-        grid = G_VARIANT_GRID if c.reference_map is not None else DEFAULT_GRID
-        return _sample_derivative_class(c, rng, order, grid)
+        return _sample_derivative_class(c, rng, order, seed, memo)
     raise ValueError(f"cannot sample class {c.name.value}")

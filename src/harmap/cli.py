@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import CatalogTag, make
-from .classes import ClassId, ClassName, membership, sample_member
+from .classes import ClassId, ClassName, membership
 from .geometry import radius_estimate
 from .harmonic import HarmonicMap, alexander_minus, alexander_plus, harmonic_convolve, tilde_convolve
 from .render import render_image
@@ -86,9 +86,9 @@ def _resolve_map(spec: str, order: int | None) -> HarmonicMap:
     except ValueError:
         tag = None
     if tag is not None:
-        return make(tag, order or 64)
+        return make(tag, 64 if order is None else order)
     f = load_map(spec)
-    return _reorder(f, order) if order else f
+    return f if order is None else _reorder(f, order)
 
 
 def _reorder(f: HarmonicMap, order: int) -> HarmonicMap:
@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_order(p):
-        p.add_argument("--order", type=int, default=None, help="series truncation order")
+        p.add_argument("--order", type=int, default=None, help="series truncation order (>= 1)")
 
     p = sub.add_parser("classify", help="test class membership of a map")
     p.add_argument("--class", dest="cls", required=True, choices=[c.value for c in ClassName])
@@ -238,6 +238,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "order", None) is not None and args.order < 1:
+            parser.error(f"argument --order: must be at least 1, got {args.order}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -6,15 +6,18 @@ of arg f (starlike) or of the tangent direction (convex).  An equispaced
 grid of ``angles`` points (``MARGIN_ANGLES`` by default) brackets the
 minimum, and successive parabolic interpolation refines it to a value
 attained at the reported witness angle, so a margin does not depend on
-where the grid falls on the circle.  Positive margins certify the
-property on that circle; radius estimation locates the sign change by a
-scan followed by bisection.
+where the grid falls on the circle.  ``starlike_margins`` and
+``convex_margins`` take several radii and evaluate each series once on
+all their circles.  Positive margins certify the property on that
+circle; radius estimation locates the sign change by a scan followed by
+bisection.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,6 +137,13 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"circle radius must lie in (0, 1), got {r}")
 
 
+def _checked_radii(radii) -> tuple:
+    radii = tuple(radii)
+    for r in radii:
+        _check_radius(r)
+    return radii
+
+
 def _refine_minimum(fn, b: float, h: float, fa: float, fb: float, fc: float):
     """Smallest evaluated value of fn in [b - h, b + h], given fn(b) <= fn(b -+ h).
 
@@ -168,76 +178,105 @@ def _refine_minimum(fn, b: float, h: float, fa: float, fb: float, fc: float):
     return angle, value
 
 
-def _circle_minimum(functional, series: tuple[AnalyticSeries, ...], r: float, angles: int):
-    """Minimum over |z| = r of ``functional(z, *values of series at z)``.
+def _circle_minima(functional, series: tuple[AnalyticSeries, ...], radii, angles: int):
+    """Minimum over each circle |z| = r, r in ``radii``, of ``functional(r, z, *values)``.
 
-    The sampled minimum on ``angles`` equispaced points and its two
+    Each series is evaluated once, on the circles concatenated in order;
+    ``functional`` then runs on one circle's slice at a time, so a check
+    that raises does so for the first offending radius.  Per circle, the
+    sampled minimum on ``angles`` equispaced points and its two
     neighbours bracket a local minimum, which is then refined.  Returns
-    (value, angle) with the angle in [0, 2*pi).
+    one (value, angle) per radius, the angle in [0, 2*pi).
+
+    The values are bit-identical to evaluating each circle on its own
+    when ``angles`` >= 2: numpy computes each element of an array of two
+    or more points the same way at any length.
     """
-    theta, z = _circle(r, angles)
-    margin = functional(z, *(s.evaluate(z) for s in series))
-    k = int(np.argmin(margin))
+    if not radii:
+        return []
+    theta = _unit_circle(angles)[0]
+    z = np.concatenate([_circle(r, angles)[1] for r in radii])
+    values = [s.evaluate(z) for s in series]
+    minima = []
+    for k, r in enumerate(radii):
+        part = slice(k * angles, (k + 1) * angles)
+        margin = functional(r, z[part], *(v[part] for v in values))
+        i = int(np.argmin(margin))
 
-    def margin_at(t: float) -> float:
-        zt = r * cmath.exp(1j * t)
-        return float(functional(zt, *(s.evaluate(zt) for s in series)))
+        def margin_at(t: float, r=r) -> float:
+            zt = r * cmath.exp(1j * t)
+            return float(functional(r, zt, *(s.evaluate(zt) for s in series)))
 
-    angle, value = _refine_minimum(
-        margin_at,
-        float(theta[k]),
-        2.0 * np.pi / angles,
-        float(margin[k - 1]),
-        float(margin[k]),
-        float(margin[(k + 1) % angles]),
-    )
-    return value, angle % (2.0 * np.pi)
+        angle, value = _refine_minimum(
+            margin_at,
+            float(theta[i]),
+            2.0 * np.pi / angles,
+            float(margin[i - 1]),
+            float(margin[i]),
+            float(margin[(i + 1) % angles]),
+        )
+        minima.append((value, angle % (2.0 * np.pi)))
+    return minima
 
 
-def starlike_margin(f: HarmonicMap, r: float, angles: int = MARGIN_ANGLES) -> GeometryReport:
-    """Minimum over the circle of d(arg f)/d(theta).
+def _starlike_functional(r, z, h, hp, g, gp):
+    fval = h + g.conjugate()
+    if np.min(np.abs(fval)) < DEGENERACY_TOL:
+        raise DegenerateCurveError(f"curve passes through the origin at r={r}")
+    return ((z * hp - (z * gp).conjugate()) / fval).real
+
+
+def _convex_functional(r, z, hp, hpp, gp, gpp):
+    T = 1j * (z * hp - (z * gp).conjugate())
+    if np.min(np.abs(T)) < DEGENERACY_TOL:
+        raise DegenerateCurveError(f"tangent vanishes on the circle r={r}")
+    Tp = -(z * hp + z**2 * hpp + (z * gp + z**2 * gpp).conjugate())
+    return (Tp / T).imag
+
+
+def starlike_margins(f: HarmonicMap, radii, angles: int = MARGIN_ANGLES) -> list[GeometryReport]:
+    """Minimum over each circle |z| = r, r in ``radii``, of d(arg f)/d(theta).
 
     The derivative equals Re[(z h' - conj(z g')) / f]; a positive minimum
     certifies that the circle image bounds a domain starlike about 0.
     ``angles`` (default ``MARGIN_ANGLES``) sets the equispaced sampling
-    grid that brackets the minimum.  ``min_margin`` is the refined
-    minimum over the circle, attained at ``witness_angle`` in [0, 2*pi).
+    grid that brackets each minimum.  One report per radius, in order:
+    ``min_margin`` is the refined minimum over that circle, attained at
+    ``witness_angle`` in [0, 2*pi).  The series are evaluated once on all
+    the circles together, and each report is bit-identical to the same
+    circle taken alone; a curve through the origin raises for the first
+    such radius in order.
     """
-    _check_radius(r)
-
-    def functional(z, h, hp, g, gp):
-        fval = h + g.conjugate()
-        if np.min(np.abs(fval)) < DEGENERACY_TOL:
-            raise DegenerateCurveError(f"curve passes through the origin at r={r}")
-        return ((z * hp - (z * gp).conjugate()) / fval).real
-
+    radii = _checked_radii(radii)
     series = (f.h, f.h.derivative(), f.g, f.g.derivative())
-    value, angle = _circle_minimum(functional, series, r, angles)
-    return GeometryReport("starlike", r, value, angle)
+    minima = _circle_minima(_starlike_functional, series, radii, angles)
+    return [GeometryReport("starlike", r, v, t) for r, (v, t) in zip(radii, minima)]
+
+
+def starlike_margin(f: HarmonicMap, r: float, angles: int = MARGIN_ANGLES) -> GeometryReport:
+    """:func:`starlike_margins` on the one circle |z| = r."""
+    return starlike_margins(f, (r,), angles)[0]
+
+
+def convex_margins(f: HarmonicMap, radii, angles: int = MARGIN_ANGLES) -> list[GeometryReport]:
+    """Minimum over each circle |z| = r, r in ``radii``, of d(arg T)/d(theta).
+
+    T(theta) = i(z h' - conj(z g')) is the tangent and T' = -[z h' +
+    z^2 h'' + conj(z g' + z^2 g'')]; the margin is min Im[T'/T].  A
+    positive margin certifies convexity of the circle image.  ``angles``,
+    the reports and the evaluation are as in :func:`starlike_margins`; a
+    vanishing tangent raises for the first such radius in order.
+    """
+    radii = _checked_radii(radii)
+    hp, gp = f.h.derivative(), f.g.derivative()
+    series = (hp, hp.derivative(), gp, gp.derivative())
+    minima = _circle_minima(_convex_functional, series, radii, angles)
+    return [GeometryReport("convex", r, v, t) for r, (v, t) in zip(radii, minima)]
 
 
 def convex_margin(f: HarmonicMap, r: float, angles: int = MARGIN_ANGLES) -> GeometryReport:
-    """Minimum over the circle of d(arg T)/d(theta) for the tangent T.
-
-    T(theta) = i(z h' - conj(z g')) and T' = -[z h' + z^2 h'' +
-    conj(z g' + z^2 g'')]; the margin is min Im[T'/T].  Positive margin
-    certifies convexity of the circle image.  ``angles`` (default
-    ``MARGIN_ANGLES``) sets the equispaced sampling grid that brackets the
-    minimum.  ``min_margin`` is the refined minimum over the circle,
-    attained at ``witness_angle`` in [0, 2*pi).
-    """
-    _check_radius(r)
-
-    def functional(z, hp, hpp, gp, gpp):
-        T = 1j * (z * hp - (z * gp).conjugate())
-        if np.min(np.abs(T)) < DEGENERACY_TOL:
-            raise DegenerateCurveError(f"tangent vanishes on the circle r={r}")
-        Tp = -(z * hp + z**2 * hpp + (z * gp + z**2 * gpp).conjugate())
-        return (Tp / T).imag
-
-    hp, gp = f.h.derivative(), f.g.derivative()
-    value, angle = _circle_minimum(functional, (hp, hp.derivative(), gp, gp.derivative()), r, angles)
-    return GeometryReport("convex", r, value, angle)
+    """:func:`convex_margins` on the one circle |z| = r."""
+    return convex_margins(f, (r,), angles)[0]
 
 
 def _polygon_is_simple(w: np.ndarray) -> bool:
@@ -345,10 +384,11 @@ def radius_estimate(
     of passing radii; margins need not be monotone in r, so the scan
     order (ascending, first failure wins) is part of the contract.  If
     no sampled radius fails the degenerate full-disk estimate 1 is
-    returned.
+    returned.  ``tol`` must be positive and finite (``ValueError``
+    otherwise).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     holds = _property_predicate(f, prop, grid.angles)
     radii = grid.radii
     if not holds(radii[0]):

@@ -9,7 +9,8 @@ return new values.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +90,16 @@ class AnalyticSeries:
         """Termwise derivative, truncation N - 1.
 
         The derivative's constant term (the input's c_1) is carried in
-        ``const``; the input's own ``const`` differentiates away.
+        ``const``; the input's own ``const`` differentiates away.  It is
+        built on the first call and cached on the instance, which is safe
+        because the series is frozen and ``coeffs`` is read-only: later
+        calls return the same object.  An order-1 series raises
+        ``ValueError`` on every call.
         """
+        return self._derivative
+
+    @functools.cached_property
+    def _derivative(self) -> "AnalyticSeries":
         if self.order < 2:
             raise ValueError("derivative requires order >= 2")
         n = np.arange(2, self.order + 1)

@@ -29,11 +29,11 @@ from .classes import (
     sample_member,
 )
 from .geometry import (
-    MARGIN_ANGLES,
-    convex_margin,
+    convex_margins,
     radius_estimate,
     smallest_positive_root,
     starlike_margin,
+    starlike_margins,
     univalent_on_circle,
 )
 from .harmonic import (
@@ -105,9 +105,12 @@ def _fmt(x) -> str:
 
 
 class _Recorder:
-    def __init__(self, out_dir) -> None:
+    """The checks of one suite, with the run's figure directory and draw memo."""
+
+    def __init__(self, out_dir, memo: dict | None = None) -> None:
         self.checks: list[CheckResult] = []
         self.out_dir = Path(out_dir)
+        self.memo = {} if memo is None else memo
 
     def close(self, description: str, measured: float, expected: float, tol: float) -> None:
         ok = abs(measured - expected) <= tol
@@ -167,15 +170,16 @@ def _unit_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _members(cid: ClassId, seed: int, count: int, order: int = 64):
+def _members(cid: ClassId, seed: int, count: int, order: int = 64, *, memo: dict):
     """Members drawn lazily at seeds seed, seed + 1, ..., seed + count - 1."""
-    return (sample_member(cid, seed + k, order) for k in range(count))
+    return (sample_member(cid, seed + k, order, memo=memo) for k in range(count))
 
 
-def _pairs(cid: ClassId, seed: int, count: int):
+def _pairs(cid: ClassId, seed: int, count: int, *, memo: dict):
     """Member pairs drawn lazily at seeds (seed + 2k, seed + 2k + 1), k < count."""
     return (
-        (sample_member(cid, seed + 2 * k), sample_member(cid, seed + 2 * k + 1)) for k in range(count)
+        (sample_member(cid, seed + 2 * k, memo=memo), sample_member(cid, seed + 2 * k + 1, memo=memo))
+        for k in range(count)
     )
 
 
@@ -188,7 +192,7 @@ def _rejection(f: HarmonicMap, cid: ClassId, shown: HarmonicMap) -> str | None:
 def _one_sided_convex(rec: _Recorder, label: str, members, bound: float) -> None:
     radii = [frac * (bound - ONE_SIDED_GAP) for frac in (0.25, 0.5, 0.75, 1.0)]
     worst, k, r = min(
-        ((convex_margin(f, r).min_margin, k, r) for k, f in enumerate(members) for r in radii),
+        ((rep.min_margin, k, rep.r) for k, f in enumerate(members) for rep in convex_margins(f, radii)),
         key=lambda item: item[0],
     )
     witness = _witness(members[k], f"member={k} r={r:.6f}")
@@ -232,7 +236,7 @@ def _suite_t2_5(rec: _Recorder, seed: int) -> None:
 
         rec.counted(
             f"{name.value}: gap bound {bound_label} over {CLASS_SAMPLES} members, n<=32 [sampled]",
-            _members(cid, seed, CLASS_SAMPLES),
+            _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
             violation,
         )
     for tag, rule in [(CatalogTag.MACGREGOR_R, 1), (CatalogTag.CHICHRA_W, 2)]:
@@ -272,21 +276,23 @@ def _suite_t2_6(rec: _Recorder, seed: int) -> None:
     rec.close("V_H0 covering constant [constant]", growth_envelope(ClassId(ClassName.V_H0), 1.0)[0], 0.75, 0.0)
 
     angles = _unit_roots(128)
+    radii = (0.25, 0.5, 0.75)
+    circles = np.concatenate([r * angles for r in radii])  # evaluated once, sliced per radius
     for name in (ClassName.R_H0, ClassName.W_H0, ClassName.U_H0):
         cid = ClassId(name)
-        envelopes = {r: growth_envelope(cid, r) for r in (0.25, 0.5, 0.75)}
+        envelopes = [growth_envelope(cid, r) for r in radii]
 
         def outside(f):
-            for r, (lo, hi) in envelopes.items():
-                vals = np.abs(f.h.evaluate(r * angles) + np.conj(f.g.evaluate(r * angles)))
-                if vals.min() < lo - 1e-9 or vals.max() > hi + 1e-9:
+            vals = np.abs(f.h.evaluate(circles) + np.conj(f.g.evaluate(circles)))
+            for r, (lo, hi), on_circle in zip(radii, envelopes, vals.reshape(len(radii), -1)):
+                if on_circle.min() < lo - 1e-9 or on_circle.max() > hi + 1e-9:
                     return _witness(f, f"r={r}")
             return None
 
         rec.counted(
             f"{name.value}: modulus envelope at r in (0.25, 0.5, 0.75) over "
             f"{CLASS_SAMPLES} members [sampled]",
-            _members(cid, seed, CLASS_SAMPLES),
+            _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
             outside,
         )
 
@@ -362,7 +368,7 @@ def _suite_t2_11(rec: _Recorder, seed: int) -> None:
     rec.counted(
         f"R_H0 closed under the product with the convex half-plane kernel, "
         f"{CLASS_SAMPLES} members [sampled]",
-        _members(cid, seed, CLASS_SAMPLES),
+        _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
         lambda f: _rejection(tilde_convolve(phi, f), cid, f),
     )
 
@@ -374,7 +380,8 @@ def _suite_t2_12(rec: _Recorder, seed: int) -> None:
         # one weight draw per combination, in order: the suite's only random stream
         combos = (
             convex_combination(
-                rng.dirichlet(np.ones(4)), [sample_member(cid, seed + 4 * k + j) for j in range(4)]
+                rng.dirichlet(np.ones(4)),
+                [sample_member(cid, seed + 4 * k + j, memo=rec.memo) for j in range(4)],
             )
             for k in range(CLASS_SAMPLES // 4)
         )
@@ -493,7 +500,7 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.R_H0)
     rec.counted(
         f"R_H0 generator always passes membership, {CLASS_SAMPLES} members [sampled]",
-        _members(cid, seed, CLASS_SAMPLES),
+        _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
         lambda f: _rejection(f, cid, f),
     )
 
@@ -507,11 +514,11 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
 
     rec.counted(
         "second-part rotations stay in the class, 100 members x 16 [sampled]",
-        _members(cid, seed + 7000, 100),
+        _members(cid, seed + 7000, 100, memo=rec.memo),
         rotation_rejected,
     )
 
-    members = list(_members(cid, seed + 31000, RADIUS_MEMBERS))
+    members = list(_members(cid, seed + 31000, RADIUS_MEMBERS, memo=rec.memo))
     _one_sided_convex(rec, "convexity radius floor sqrt(2)-1", members, math.sqrt(2) - 1)
 
 
@@ -526,7 +533,7 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.W_H0)
     rec.counted(
         f"class closed under convolution, {PAIR_SAMPLES // 2} pairs [sampled]",
-        _pairs(cid, seed, PAIR_SAMPLES // 2),
+        _pairs(cid, seed, PAIR_SAMPLES // 2, memo=rec.memo),
         lambda pair: _rejection(harmonic_convolve(*pair), cid, pair[0]),
     )
 
@@ -539,15 +546,15 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     for phi, label in [(phi_half, "convex kernel"), (phi_cheby, "Re phi/z > 1/2 kernel")]:
         rec.counted(
             f"closed under product with {label}, {PAIR_SAMPLES} members [sampled]",
-            _members(cid, seed + 5000, PAIR_SAMPLES),
+            _members(cid, seed + 5000, PAIR_SAMPLES, memo=rec.memo),
             lambda f: _rejection(tilde_convolve(phi, f), cid, f),
         )
 
     chich = make(CatalogTag.CHICHRA_W, 64)
     worst = min(
-        convex_margin(res, r).min_margin
-        for res in (tilde_convolve(chich.h, f) for f in _members(cid, seed + 9000, RADIUS_MEMBERS))
-        for r in (0.3, 0.6, 0.9)
+        rep.min_margin
+        for f in _members(cid, seed + 9000, RADIUS_MEMBERS, memo=rec.memo)
+        for rep in convex_margins(tilde_convolve(chich.h, f), (0.3, 0.6, 0.9))
     )
     rec.at_least(
         "product of two in-class functions is convex on sampled circles [sampled]", worst, 1e-9
@@ -591,20 +598,24 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
         rec.counted(
             f"{name.value}: per-part coefficient bounds 1/n^{bound_pow} over "
             f"{CLASS_SAMPLES} members [sampled]",
-            _members(cid, seed, CLASS_SAMPLES),
+            _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
             out_of_bounds,
         )
 
     u_cid, v_cid = ClassId(ClassName.U_H0), ClassId(ClassName.V_H0)
-    members = list(_members(u_cid, seed + 17000, RADIUS_MEMBERS))
+    members = list(_members(u_cid, seed + 17000, RADIUS_MEMBERS, memo=rec.memo))
     _one_sided_convex(rec, "convexity radius floor 1/2", members, 0.5)
 
     radii = (0.3, 0.6, 0.9)
     worst_star = min(
-        starlike_margin(f, r).min_margin for f in _members(u_cid, seed + 23000, 100) for r in radii
+        rep.min_margin
+        for f in _members(u_cid, seed + 23000, 100, memo=rec.memo)
+        for rep in starlike_margins(f, radii)
     )
     worst_conv = min(
-        convex_margin(f, r).min_margin for f in _members(v_cid, seed + 29000, 100) for r in radii
+        rep.min_margin
+        for f in _members(v_cid, seed + 29000, 100, memo=rec.memo)
+        for rep in convex_margins(f, radii)
     )
     rec.at_least("U_H0 members fully starlike on sampled circles [sampled]", worst_star, 1e-9)
     rec.at_least("V_H0 members fully convex on sampled circles [sampled]", worst_conv, 1e-9)
@@ -616,7 +627,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     for cid, label in ((u_cid, "U*U lands in U"), (v_cid, "U*U lands in V")):
         rec.counted(
             f"{label}, {PAIR_SAMPLES} pairs [sampled]",
-            (harmonic_convolve(f, F) for f, F in _pairs(u_cid, seed, PAIR_SAMPLES)),
+            (harmonic_convolve(f, F) for f, F in _pairs(u_cid, seed, PAIR_SAMPLES, memo=rec.memo)),
             lambda conv: None if membership(conv, cid).is_member else _witness(conv),
         )
 
@@ -625,7 +636,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
 
     rec.counted(
         f"V*V lands in V, {PAIR_SAMPLES} pairs [sampled]",
-        _pairs(v_cid, seed + 100000, PAIR_SAMPLES),
+        _pairs(v_cid, seed + 100000, PAIR_SAMPLES, memo=rec.memo),
         pair_rejected,
     )
 
@@ -636,7 +647,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     eps_grid = _unit_roots(SWEEP_POINTS)
     worst = max(
         quadratic_sum(slice_map(f, eps))
-        for f in _members(v_cid, seed + 300000, PAIR_SAMPLES)
+        for f in _members(v_cid, seed + 300000, PAIR_SAMPLES, memo=rec.memo)
         for eps in eps_grid
     )
     rec.at_most(
@@ -654,7 +665,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     rec.counted(
         "convex kernel preserves both classes [sampled]",
         (
-            (sample_member(cid, seed + offset + k), cid)
+            (sample_member(cid, seed + offset + k, memo=rec.memo), cid)
             for k in range(PAIR_SAMPLES)
             for offset, cid in ((400000, u_cid), (500000, v_cid))
         ),
@@ -662,9 +673,9 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     )
 
     worst_conv = min(
-        convex_margin(conv, r).min_margin
-        for conv in (harmonic_convolve(f, F) for f, F in _pairs(u_cid, seed + 600000, RADIUS_MEMBERS))
-        for r in (0.3, 0.6, 0.9, 0.95)
+        rep.min_margin
+        for f, F in _pairs(u_cid, seed + 600000, RADIUS_MEMBERS, memo=rec.memo)
+        for rep in convex_margins(harmonic_convolve(f, F), (0.3, 0.6, 0.9, 0.95))
     )
     rec.at_least("U*U convolutions convex on sampled circles [sampled]", worst_conv, 1e-9)
 
@@ -673,7 +684,7 @@ def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.S_R)
     rec.counted(
         "real-coefficient generator accepted, 100 members [sampled]",
-        _members(cid, seed, 100),
+        _members(cid, seed, 100, memo=rec.memo),
         lambda f: _rejection(f, cid, f),
     )
 
@@ -763,14 +774,14 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
 
     r_cid, u_cid = ClassId(ClassName.R_H0), ClassId(ClassName.U_H0)
     worst_star = min(
-        starlike_margin(lam, r).min_margin
-        for lam in map(alexander_plus, _members(r_cid, seed, 100))
-        for r in (0.3, 0.6, 0.9)
+        rep.min_margin
+        for f in _members(r_cid, seed, 100, memo=rec.memo)
+        for rep in starlike_margins(alexander_plus(f), (0.3, 0.6, 0.9))
     )
     worst_conv = min(
-        convex_margin(lam, r).min_margin
-        for lam in map(alexander_plus, _members(u_cid, seed, 100))
-        for r in (0.3, 0.6, 0.9, 0.95)
+        rep.min_margin
+        for f in _members(u_cid, seed, 100, memo=rec.memo)
+        for rep in convex_margins(alexander_plus(f), (0.3, 0.6, 0.9, 0.95))
     )
     rec.at_least("operator images of R_H0 members starlike on circles [sampled]", worst_star, 1e-9)
     rec.at_least("operator images of U_H0 members convex on circles, r<=0.95 [sampled]", worst_conv, 1e-9)
@@ -786,7 +797,10 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
 
     rec.counted(
         f"operator lands R_H0 in W_H0 and U_H0 in V_H0 (both signs), {CLASS_SAMPLES} members [sampled]",
-        zip(_members(r_cid, seed, CLASS_SAMPLES), _members(u_cid, seed, CLASS_SAMPLES)),
+        zip(
+            _members(r_cid, seed, CLASS_SAMPLES, memo=rec.memo),
+            _members(u_cid, seed, CLASS_SAMPLES, memo=rec.memo),
+        ),
         off_target,
     )
 
@@ -802,7 +816,7 @@ def _suite_fig(rec: _Recorder, seed: int, which: str) -> None:
         tag, base, margin_fn, functional = (
             CatalogTag.ALEXANDER_PLUS_K,
             CatalogTag.HARMONIC_KOEBE,
-            starlike_margin,
+            starlike_margins,
             "starlike",
         )
         fname = "fig1.svg"
@@ -810,12 +824,12 @@ def _suite_fig(rec: _Recorder, seed: int, which: str) -> None:
         tag, base, margin_fn, functional = (
             CatalogTag.ALEXANDER_PLUS_L,
             CatalogTag.HARMONIC_HALF_PLANE,
-            convex_margin,
+            convex_margins,
             "convex",
         )
         fname = "fig2.svg"
     big = alexander_plus(make(base, FIG_SERIES_ORDER))
-    worst = min(margin_fn(big, r).min_margin for r in FIG_MARGIN_RADII)
+    worst = min(rep.min_margin for rep in margin_fn(big, FIG_MARGIN_RADII))
     rec.at_most(
         f"{tag.value}: {functional} margin goes negative on r in {FIG_MARGIN_RADII} [oracle]",
         worst,
@@ -837,7 +851,7 @@ def _relative_floors(rec: _Recorder, seed: int, name: ClassName, floor: str, con
     """Membership of 10 sampled members and the one-sided convexity floor per reference."""
     for label, ref, bound in configs:
         cid = ClassId(name, reference_map=ref)
-        members = list(_members(cid, seed, RADIUS_MEMBERS, order=200))
+        members = list(_members(cid, seed, RADIUS_MEMBERS, order=200, memo=rec.memo))
         rec.counted(
             f"relative class membership holds ({label}) [sampled]",
             members[:10],
@@ -900,15 +914,28 @@ def suite_ids() -> tuple[str, ...]:
     return tuple(_SUITES)
 
 
-def run_suite(suite_id: str, seed: int = 42, out_dir=".") -> SuiteReport:
-    """Run one suite deterministically under the seed."""
+def run_suite(suite_id: str, seed: int = 42, out_dir=".", memo: dict | None = None) -> SuiteReport:
+    """Run one suite deterministically under the seed.
+
+    ``memo`` is the draw memo of :func:`harmap.classes.sample_member`;
+    suites that share one skip the grid evaluation of repeated draws.
+    Without it the suite uses a fresh one.  The report does not depend
+    on it.
+    """
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(_SUITES)}")
-    rec = _Recorder(out_dir)
+    rec = _Recorder(out_dir, memo)
     t0 = time.perf_counter()
     _SUITES[suite_id](rec, seed)
     return SuiteReport(suite_id, seed, rec.checks, time.perf_counter() - t0)
 
 
 def run_all(seed: int = 42, out_dir=".") -> list[SuiteReport]:
-    return [run_suite(sid, seed, out_dir) for sid in suite_ids()]
+    """Every suite in order, through the module-level :func:`run_suite`.
+
+    The suites share one draw memo, created here, so a member that
+    several suites draw has its scale computed once; the memo ends with
+    the run.
+    """
+    memo: dict = {}
+    return [run_suite(sid, seed, out_dir, memo=memo) for sid in suite_ids()]

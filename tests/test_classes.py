@@ -5,7 +5,9 @@ import pytest
 from scipy.special import spence
 
 from harmap.catalog import CatalogTag, make
+from harmap import classes
 from harmap.classes import (
+    GRID_CLASSES,
     ClassId,
     ClassName,
     SingularReferenceError,
@@ -217,6 +219,48 @@ class TestSampling:
         cid = ClassId(ClassName.R_H0_G, reference_map=ref)
         f = sample_member(cid, 5, order=128)
         assert membership(f, cid).is_member
+
+    @pytest.mark.parametrize("name", list(ClassName))
+    def test_memoised_draws_equal_fresh_draws(self, name):
+        ref = make(CatalogTag.KOEBE, 64).h if name in (ClassName.R_H0_G, ClassName.F_H0_G) else None
+        cid = ClassId(name, reference_map=ref)
+        memo = {}
+        for seed in (0, 3, 0, 3, 11):
+            for order in (2, 64):
+                fresh = sample_member(cid, seed, order)
+                drawn = sample_member(cid, seed, order, memo=memo)
+                assert drawn.h.coeffs.tobytes() == fresh.h.coeffs.tobytes()
+                assert drawn.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
+        # derivative classes keep one scale per distinct draw; the rest nothing
+        assert len(memo) == (6 if name in GRID_CLASSES else 0)
+        assert all(isinstance(s, float) for s, _ in memo.values())
+
+    def test_memo_hit_skips_the_grid_evaluation(self, monkeypatch):
+        calls = []
+        grid_scale = classes._grid_scale
+
+        def counted(*args):
+            calls.append(args)
+            return grid_scale(*args)
+
+        monkeypatch.setattr(classes, "_grid_scale", counted)
+        cid = ClassId(ClassName.W_H0)
+        memo = {}
+        for _ in range(3):
+            sample_member(cid, 5, memo=memo)
+        assert len(calls) == 1
+        sample_member(cid, 5, 32, memo=memo)  # another order is another draw
+        assert len(calls) == 2
+
+    def test_memo_keys_on_the_reference_object(self):
+        # an equal but distinct reference series is a distinct key; the memo
+        # keeps each reference alive, so its id cannot be reused while it lives
+        memo = {}
+        for _ in range(2):
+            cid = ClassId(ClassName.F_H0_G, reference_map=make(CatalogTag.HALF_PLANE, 64).h)
+            sample_member(cid, 1, memo=memo)
+        assert len(memo) == 2
+        assert all(ref is not None for _, ref in memo.values())
 
     def test_growth_envelope_respected_by_R_samples(self):
         cid = ClassId(ClassName.R_H0)

@@ -52,6 +52,34 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "member=True" in out and "member=False" in out
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--class", "R_H0", "--input", "koebe"],
+            ["classify", "--class", "R_H0", "--input", "MAP"],
+            ["convolve", "--a", "koebe", "--b", "half_plane"],
+            ["alexander", "--sign", "plus", "--input", "koebe"],
+            ["radius", "--property", "convex", "--input", "koebe"],
+            ["render", "--input", "koebe", "--radii", "0.5", "--out", "OUT"],
+            ["catalog", "--tag", "koebe"],
+        ],
+    )
+    def test_order_below_one_is_rejected(self, argv, order, tmp_path, capsys):
+        path = _write(tmp_path / "map.json", dump_map(make(CatalogTag.KOEBE, 8)))
+        argv = [{"MAP": path, "OUT": str(tmp_path / "out.svg")}.get(a, a) for a in argv]
+        assert main(argv + ["--order", order]) == 2
+        assert "argument --order: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.svg").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_radius_tolerance_must_be_positive_and_finite(self, tol, capsys):
+        argv = ["radius", "--property", "convex", "--input", "koebe", f"--tol={tol}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "tolerance must be positive and finite" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("suite", ["all", "FIG1", "T3.10"])
     @pytest.mark.parametrize("kind", ["missing", "file"])
     def test_verify_out_dir_checked_before_any_suite(self, suite, kind, tmp_path, capsys, monkeypatch):

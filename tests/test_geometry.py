@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -10,16 +11,21 @@ from scipy.optimize import minimize_scalar
 from harmap.catalog import CatalogTag, make
 from harmap.classes import ClassId, ClassName, sample_member
 from harmap.geometry import (
+    DEGENERACY_TOL,
+    MARGIN_ANGLES,
     PAIR_CHUNK,
     DegenerateCurveError,
     RootNotFoundError,
     SamplingGrid,
     convex_margin,
+    convex_margins,
     radius_estimate,
     smallest_positive_root,
     starlike_margin,
+    starlike_margins,
     _circle,
     _polygon_is_simple,
+    _refine_minimum,
     _unit_circle,
     univalent_on_circle,
 )
@@ -85,6 +91,126 @@ class TestMargins:
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             starlike_margin(identity_map(), 1.2)
+
+
+def one_circle_minimum(kind, f, r, angles=MARGIN_ANGLES):
+    """The margin of one circle as computed before margins took several radii.
+
+    The series are evaluated on this circle alone; the functionals, the
+    sampled argmin and ``_refine_minimum`` are the one-radius code the
+    library used, so the several-radii margins must match it bit for bit.
+    """
+    if kind == "starlike":
+        series = (f.h, f.h.derivative(), f.g, f.g.derivative())
+
+        def functional(z, h, hp, g, gp):
+            fval = h + g.conjugate()
+            if np.min(np.abs(fval)) < DEGENERACY_TOL:
+                raise DegenerateCurveError(f"curve passes through the origin at r={r}")
+            return ((z * hp - (z * gp).conjugate()) / fval).real
+
+    else:
+        hp, gp = f.h.derivative(), f.g.derivative()
+        series = (hp, hp.derivative(), gp, gp.derivative())
+
+        def functional(z, hp, hpp, gp, gpp):
+            T = 1j * (z * hp - (z * gp).conjugate())
+            if np.min(np.abs(T)) < DEGENERACY_TOL:
+                raise DegenerateCurveError(f"tangent vanishes on the circle r={r}")
+            Tp = -(z * hp + z**2 * hpp + (z * gp + z**2 * gpp).conjugate())
+            return (Tp / T).imag
+
+    theta = np.arange(angles) * (2.0 * np.pi / angles)
+    z = r * np.exp(1j * theta)
+    margin = functional(z, *(s.evaluate(z) for s in series))
+    k = int(np.argmin(margin))
+
+    def margin_at(t):
+        zt = r * cmath.exp(1j * t)
+        return float(functional(zt, *(s.evaluate(zt) for s in series)))
+
+    angle, value = _refine_minimum(
+        margin_at,
+        float(theta[k]),
+        2.0 * np.pi / angles,
+        float(margin[k - 1]),
+        float(margin[k]),
+        float(margin[(k + 1) % angles]),
+    )
+    return value, angle % (2.0 * np.pi)
+
+
+def assert_margins_match_one_circle(f, radii, angles=MARGIN_ANGLES):
+    for kind, margins in (("starlike", starlike_margins), ("convex", convex_margins)):
+        expected = []
+        try:
+            for r in radii:
+                expected.append(one_circle_minimum(kind, f, r, angles))
+        except (DegenerateCurveError, ValueError) as exc:
+            # the first degenerate radius in order raises, with its own message;
+            # an order-2 map has no second derivative for the convex margin
+            with pytest.raises(type(exc)) as raised:
+                margins(f, radii, angles)
+            assert str(raised.value) == str(exc)
+            continue
+        reports = margins(f, radii, angles)
+        assert [rep.r for rep in reports] == list(radii)
+        assert all(rep.functional == kind for rep in reports)
+        got = [(rep.min_margin.hex(), rep.witness_angle.hex()) for rep in reports]
+        assert got == [(float(v).hex(), float(t).hex()) for v, t in expected]
+
+
+radius_lists = st.lists(st.floats(min_value=0.05, max_value=0.95), min_size=1, max_size=4)
+
+
+class TestSeveralRadii:
+    @given(
+        name=st.sampled_from(
+            [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0, ClassName.U_H0, ClassName.V_H0]
+        ),
+        seed=st.integers(min_value=0, max_value=10**6),
+        order=st.integers(min_value=2, max_value=400),
+        radii=radius_lists,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_members_match_one_circle(self, name, seed, order, radii):
+        assert_margins_match_one_circle(sample_member(ClassId(name), seed, order), radii)
+
+    @given(
+        tag=st.sampled_from(list(CatalogTag)),
+        order=st.integers(min_value=2, max_value=400),
+        radii=radius_lists,
+        angles=st.sampled_from([64, 101, 256, MARGIN_ANGLES]),  # 101: slices off 64-byte alignment
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_catalog_maps_match_one_circle(self, tag, order, radii, angles):
+        assert_margins_match_one_circle(make(tag, order), radii, angles)
+
+    def test_verify_radii_on_members(self):
+        # the (map, radius) lists the verify suites ask for
+        for seed in range(3):
+            f = sample_member(ClassId(ClassName.U_H0), seed)
+            assert_margins_match_one_circle(f, (0.3, 0.6, 0.9, 0.95))
+        assert_margins_match_one_circle(make(CatalogTag.ALEXANDER_PLUS_K, 400), (0.90, 0.93, 0.96))
+
+    def test_first_degenerate_radius_raises(self):
+        # f(z) = z - z^2/r0 vanishes on |z| = r0 at angle 0, for r0 = 0.3 and 0.5
+        f = analytic_map(AnalyticSeries([1.0, -1.0 / 0.3]))
+        with pytest.raises(DegenerateCurveError, match="r=0.3$"):
+            starlike_margins(f, (0.2, 0.3, 0.4), 64)
+        g = analytic_map(AnalyticSeries([1.0, -1.0 / 0.5]))
+        with pytest.raises(DegenerateCurveError, match="r=0.5$"):
+            starlike_margins(g, (0.5, 0.3), 64)
+
+    def test_one_radius_forms(self):
+        f = make(CatalogTag.HARMONIC_KOEBE, 128)
+        assert starlike_margin(f, 0.6) == starlike_margins(f, [0.6])[0]
+        assert convex_margin(f, 0.6) == convex_margins(f, [0.6])[0]
+
+    def test_radius_validation_and_empty_list(self):
+        with pytest.raises(ValueError):
+            convex_margins(identity_map(), (0.5, 1.0))
+        assert starlike_margins(identity_map(), ()) == []
 
 
 class TestMarginCrossChecks:
@@ -356,6 +482,11 @@ class TestRadiusEstimate:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             radius_estimate(identity_map(), "convex", tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="positive and finite"):
+            radius_estimate(make(CatalogTag.KOEBE, 64), "convex", tol=tol)
 
     def test_unknown_property(self):
         with pytest.raises(ValueError):

@@ -107,6 +107,30 @@ class TestEvaluate:
         np.testing.assert_array_equal(AnalyticSeries(np.zeros(3), const=2.0).evaluate(z), [2.0, 2.0])
         assert AnalyticSeries(np.zeros(3), const=2.0).evaluate(0.5) == 2.0
 
+    # Margins evaluate a series once on several circles concatenated and then
+    # slice the result per circle, so concatenation must not change a bit.
+    # 1-point arrays are left out: numpy may compute a lone element in a
+    # different last bit, and no circle in the library has fewer than 64 points.
+    @given(
+        order=st.integers(min_value=1, max_value=600),
+        sizes=st.lists(st.integers(min_value=2, max_value=1024), min_size=2, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_concatenated_circles_match_each_circle(self, order, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n = np.arange(1, order + 1)
+        s = AnalyticSeries((rng.standard_normal(order) + 1j * rng.standard_normal(order)) / n, const=0.5)
+        circles = [
+            rng.uniform(0.05, 0.99) * np.exp(2j * np.pi * np.arange(m) / m) for m in sizes
+        ]
+        together = s.evaluate(np.concatenate(circles))
+        start = 0
+        for z in circles:
+            part = together[start : start + z.size]
+            assert part.tobytes() == s.evaluate(z).tobytes()
+            start += z.size
+
 
 class TestDerivative:
     def test_identity_derivative_is_one(self):
@@ -131,6 +155,24 @@ class TestDerivative:
     def test_requires_order_two(self):
         with pytest.raises(ValueError):
             AnalyticSeries([1.0]).derivative()
+
+    def test_order_one_raises_on_every_call(self):
+        s = AnalyticSeries([1.0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="order >= 2"):
+                s.derivative()
+
+    @pytest.mark.parametrize("order", [3, 64, 1536])
+    def test_cached_on_the_instance(self, order):
+        rng = np.random.default_rng(order)
+        s = AnalyticSeries(rng.standard_normal(order) + 1j * rng.standard_normal(order), const=3.0)
+        d = s.derivative()
+        assert d is s.derivative()
+        assert d.derivative() is s.derivative().derivative()
+        fresh = AnalyticSeries(np.arange(2, order + 1) * s.coeffs[1:], const=complex(s.coeffs[0]))
+        assert d.coeffs.tobytes() == fresh.coeffs.tobytes()
+        assert d.const == fresh.const
+        assert not d.coeffs.flags.writeable
 
     def test_second_derivative_drops_const(self):
         s = AnalyticSeries([1.0, 2.0, 3.0, 4.0])

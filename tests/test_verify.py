@@ -2,7 +2,7 @@ import pytest
 
 from harmap import verify
 from harmap.classes import MembershipResult
-from harmap.verify import _Recorder, run_suite, suite_ids
+from harmap.verify import SuiteReport, _Recorder, run_suite, suite_ids
 
 
 class TestCounted:
@@ -45,6 +45,42 @@ class TestRunSuite:
         svg = f"{which.lower()}.svg"
         assert (tmp_path / "a" / svg).read_bytes() == (tmp_path / "b" / svg).read_bytes()
         assert (tmp_path / "a" / svg).read_bytes().startswith(b"<?xml")
+
+    def test_shared_memo_leaves_lines_unchanged(self, tmp_path):
+        # T2.11 draws the R_H0 members that T2.12 draws again
+        memo = {}
+        run_suite("T2.11", 42, tmp_path, memo=memo)
+        assert memo
+        shared = run_suite("T2.12", 42, tmp_path, memo=memo)
+        alone = run_suite("T2.12", 42, tmp_path)
+        assert shared.lines() == alone.lines()
+        assert shared.passed
+
+    def test_envelope_suite_passes(self, monkeypatch):
+        # T2.6 evaluates its three circles at once and checks each slice
+        # against that radius's envelope
+        monkeypatch.setattr(verify, "CLASS_SAMPLES", 20)
+        report = run_suite("T2.6")
+        assert report.passed
+        assert report.lines()[-1].endswith("measured=0 | tol=0 | PASS")
+
+    def test_run_all_shares_one_memo_per_run(self, monkeypatch):
+        calls = []
+
+        def fake_suite(suite_id, seed, out_dir, memo):
+            calls.append((suite_id, memo))
+            return SuiteReport(suite_id, seed)
+
+        monkeypatch.setattr(verify, "run_suite", fake_suite)
+        verify.run_all(7)
+        verify.run_all(7)
+        ids = [suite_id for suite_id, _ in calls]
+        assert ids == list(suite_ids()) * 2
+        memos = [memo for _, memo in calls]
+        half = len(suite_ids())
+        assert all(memo is memos[0] for memo in memos[:half])
+        assert all(memo is memos[half] for memo in memos[half:])
+        assert memos[0] is not memos[half] and memos[0] == {}
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
