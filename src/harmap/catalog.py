@@ -9,12 +9,13 @@ the float nearest its exact rational value.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from enum import Enum
 
 import numpy as np
 from scipy.special import spence
 
-from .harmonic import HarmonicMap, analytic_map
+from .harmonic import HarmonicMap, alexander_plus, analytic_map
 from .series import AnalyticSeries, DomainError
 
 
@@ -83,15 +84,9 @@ def make(tag, order: int) -> HarmonicMap:
         return HarmonicMap(AnalyticSeries(a), AnalyticSeries(b), tag.value)
 
     if tag is CatalogTag.ALEXANDER_PLUS_K:
-        base = make(CatalogTag.HARMONIC_KOEBE, order)
-        return HarmonicMap(
-            AnalyticSeries(base.h.coeffs / n), AnalyticSeries(base.g.coeffs / n), tag.value
-        )
+        return replace(alexander_plus(make(CatalogTag.HARMONIC_KOEBE, order)), closed_form=tag.value)
     if tag is CatalogTag.ALEXANDER_PLUS_L:
-        base = make(CatalogTag.HARMONIC_HALF_PLANE, order)
-        return HarmonicMap(
-            AnalyticSeries(base.h.coeffs / n), AnalyticSeries(base.g.coeffs / n), tag.value
-        )
+        return replace(alexander_plus(make(CatalogTag.HARMONIC_HALF_PLANE, order)), closed_form=tag.value)
     raise AssertionError(f"unhandled tag {tag}")
 
 

@@ -42,7 +42,8 @@ class ClassName(str, Enum):
     F_H0_G = "F_H0_G"
 
 
-GRID_CLASSES = {ClassName.R_H0, ClassName.W_H0, ClassName.F_H0, ClassName.R_H0_G, ClassName.F_H0_G}
+RELATIVE_CLASSES = {ClassName.R_H0_G, ClassName.F_H0_G}
+GRID_CLASSES = {ClassName.R_H0, ClassName.W_H0, ClassName.F_H0} | RELATIVE_CLASSES
 COEFFICIENT_CLASSES = {ClassName.U_H0, ClassName.V_H0, ClassName.S_R}
 
 
@@ -52,15 +53,16 @@ class SingularReferenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ClassId:
-    """A function class, with the reference series G for the _G variants."""
+    """A function class, with the reference series G for (and only for) the _G variants."""
 
     name: ClassName
     reference_map: AnalyticSeries | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "name", ClassName(self.name))
-        if self.name in (ClassName.R_H0_G, ClassName.F_H0_G) and self.reference_map is None:
-            raise ValueError(f"{self.name.value} requires a reference map")
+        relative = self.name in RELATIVE_CLASSES
+        if relative == (self.reference_map is None):
+            raise ValueError(f"{self.name.value} {'requires a' if relative else 'takes no'} reference map")
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,6 @@ class MembershipResult:
 class BoundTable:
     class_id: ClassId
     p: Callable[[int], float]
-    growth_lower: Callable[[float], float]
-    growth_upper: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,11 @@ class BoundCheckReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+
+def _certifying_grid(c: ClassId) -> SamplingGrid:
+    """The grid that :func:`membership` certifies the class on by default."""
+    return G_VARIANT_GRID if c.name in RELATIVE_CLASSES else DEFAULT_GRID
 
 
 def _grid_slack(f: HarmonicMap, c: ClassId, z: np.ndarray) -> np.ndarray:
@@ -128,9 +133,7 @@ def membership(f: HarmonicMap, c: ClassId, grid: SamplingGrid | None = None) -> 
     if not f.is_normalized():
         raise ValueError("membership requires a normalized map")
     if c.name in GRID_CLASSES:
-        if grid is None:
-            grid = G_VARIANT_GRID if c.reference_map is not None else DEFAULT_GRID
-        z = grid.points()
+        z = (_certifying_grid(c) if grid is None else grid).points()
         if z.size == 0:
             raise ValueError("empty sampling grid")
         slack = _grid_slack(f, c, z)
@@ -233,11 +236,10 @@ def growth_envelope(c: ClassId, r: float) -> tuple[float, float]:
 
 
 def bound_table(c: ClassId) -> BoundTable:
-    """Per-class coefficient bound p(n) and growth envelope functions."""
+    """Per-class coefficient bound p(n)."""
     if c.name not in _GAP_BOUNDS:
         raise ValueError(f"no coefficient bound table for class {c.name.value}")
-    lower, upper = _ENVELOPES[c.name]
-    return BoundTable(c, _GAP_BOUNDS[c.name], lower, upper)
+    return BoundTable(c, _GAP_BOUNDS[c.name])
 
 
 def coefficient_bound_check(f: HarmonicMap, table: BoundTable, n_max: int) -> BoundCheckReport:
@@ -274,13 +276,12 @@ def _sample_coefficient_class(c: ClassId, rng: np.random.Generator, order: int) 
     return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
 
 
-def _grid_scale(c: ClassId, q: np.ndarray, p: np.ndarray, rng: np.random.Generator) -> float:
-    """The scale s that puts the grid slack of 1 + s*q, s*p at a drawn target in [0.1, 0.7]."""
-    z = (G_VARIANT_GRID if c.reference_map is not None else DEFAULT_GRID).points()
+def _grid_scale(name: ClassName, grid: SamplingGrid, q: np.ndarray, p: np.ndarray, target: float) -> float:
+    """The scale s that puts the grid slack of 1 + s*q, s*p at ``target``."""
+    z = grid.points()
     qv = AnalyticSeries(q).evaluate(z)
     pv = AnalyticSeries(p).evaluate(z)
-    target = rng.uniform(0.1, 0.7)
-    if c.name in (ClassName.F_H0, ClassName.F_H0_G):
+    if name in (ClassName.F_H0, ClassName.F_H0_G):
         worst = float(np.max(np.abs(qv) + np.abs(pv)))
         return (1.0 - target) / worst
     worst = float(np.min(np.real(qv) - np.abs(pv)))
@@ -288,43 +289,35 @@ def _grid_scale(c: ClassId, q: np.ndarray, p: np.ndarray, rng: np.random.Generat
 
 
 def _sample_derivative_class(
-    c: ClassId, rng: np.random.Generator, order: int, seed: int, memo: dict | None
+    c: ClassId, rng: np.random.Generator, order: int, seed: int, memo: dict
 ) -> HarmonicMap:
     # draw h' (or h' + z h'', or h'-1) as 1 + s*q and the g side as s*p,
     # then choose s so the grid slack hits a target in [0.1, 0.7]
     m = np.arange(1, order)
     q = _split_complex(rng, m.size) / m**2
     p = 0.4 * _split_complex(rng, m.size) / m**2
-    if memo is None:
-        s = _grid_scale(c, q, p, rng)
-    else:
-        key = (c.name, id(c.reference_map), seed, order)
-        if key not in memo:
-            # the reference is kept with its scale, so its id is not reused while the memo lives
-            memo[key] = (_grid_scale(c, q, p, rng), c.reference_map)
-        s = memo[key][0]
-
-    n = np.arange(2, order + 1)
-    if c.name is ClassName.W_H0:
-        denom = n.astype(float) ** 2  # h' + z h'' has coefficients n^2 a_n
-    else:
-        denom = n.astype(float)
-    h = np.zeros(order, dtype=np.complex128)
-    g = np.zeros(order, dtype=np.complex128)
-    h[0] = 1.0
-    h[1:] = s * q / denom
-    g[1:] = s * p / denom
+    key = (c.name, seed, order)
+    if key not in memo:
+        memo[key] = _grid_scale(c.name, _certifying_grid(c), q, p, rng.uniform(0.1, 0.7))
+    s = memo[key]
 
     if c.reference_map is not None:
         # relative classes: multiply the derivative data through G' so the
         # ratio h'/G' is exactly 1 + s*q at every point of the disk
         gp = c.reference_map.derivative()
         gp_poly = np.concatenate(([gp.const], gp.coeffs))
-        hp_poly = np.convolve(gp_poly, np.concatenate(([1.0], s * q)))[: order ]
-        gg_poly = np.convolve(gp_poly, np.concatenate(([0.0], s * p)))[: order ]
+        hp_poly = np.convolve(gp_poly, np.concatenate(([1.0], s * q)))[:order]
+        gg_poly = np.convolve(gp_poly, np.concatenate(([0.0], s * p)))[:order]
         nn = np.arange(1, order + 1)
-        h = hp_poly / nn
-        g = gg_poly / nn
+        return HarmonicMap(AnalyticSeries(hp_poly / nn), AnalyticSeries(gg_poly / nn))
+
+    # h' + z h'' has coefficients n^2 a_n
+    denom = np.arange(2, order + 1).astype(float) ** (2 if c.name is ClassName.W_H0 else 1)
+    h = np.zeros(order, dtype=np.complex128)
+    g = np.zeros(order, dtype=np.complex128)
+    h[0] = 1.0
+    h[1:] = s * q / denom
+    g[1:] = s * p / denom
     return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
 
 
@@ -338,13 +331,13 @@ def sample_member(c: ClassId, seed: int, order: int = 64, memo: dict | None = No
 
     ``memo``, a dict owned by the caller, spares a derivative class the
     grid evaluation that picks its scale when the same draw repeats.  It
-    maps (class name, id of the reference series, seed, order) to the
-    scale, never to the map, so it stays small; a hit still draws the
-    coefficients and returns a map bit-identical to a draw without the
-    memo.  The memo holds each reference series it was keyed on, so the
-    id stays unique while the memo lives.  Scope it to one run (as
-    :func:`harmap.verify.run_all` does): it grows with every distinct
-    draw.  Coefficient classes do not use it.
+    maps (class name, seed, order) to the float scale, never to the map,
+    so it stays small; a hit still draws the coefficients and returns a
+    map bit-identical to a draw without the memo.  The scale depends on
+    the reference map of a _G class only through the grid, which is the
+    same for every reference, so one entry serves all references.  Scope
+    it to one run (as :func:`harmap.verify.run_all` does): it grows with
+    every distinct draw.  Coefficient classes do not use it.
     """
     c = c if isinstance(c, ClassId) else ClassId(c)
     rng = np.random.default_rng(seed)
@@ -361,5 +354,5 @@ def sample_member(c: ClassId, seed: int, order: int = 64, memo: dict | None = No
         g = np.zeros(order, dtype=np.complex128)
         return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
     if c.name in GRID_CLASSES:
-        return _sample_derivative_class(c, rng, order, seed, memo)
+        return _sample_derivative_class(c, rng, order, seed, {} if memo is None else memo)
     raise ValueError(f"cannot sample class {c.name.value}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import CatalogTag, make
-from .classes import ClassId, ClassName, membership
+from .classes import RELATIVE_CLASSES, ClassId, ClassName, membership
 from .geometry import radius_estimate
 from .harmonic import HarmonicMap, alexander_minus, alexander_plus, harmonic_convolve, tilde_convolve
 from .render import render_image
@@ -108,12 +108,11 @@ def _fmt(x: float) -> str:
 def _cmd_classify(args) -> int:
     f = _resolve_map(args.input, args.order)
     name = ClassName(args.cls)
-    ref = None
-    if name in (ClassName.R_H0_G, ClassName.F_H0_G):
-        if not args.ref_map:
-            print("error: --ref-map is required for the _G classes", file=sys.stderr)
-            return 2
-        ref = _resolve_map(args.ref_map, args.order).h
+    relative = name in RELATIVE_CLASSES
+    if relative != bool(args.ref_map):
+        rule = "is required for" if relative else "applies only to"
+        raise InputError(f"--ref-map {rule} the _G classes (class {name.value})")
+    ref = _resolve_map(args.ref_map, args.order).h if relative else None
     res = membership(f, ClassId(name, reference_map=ref))
     print(
         f"class={name.value} member={res.is_member} status={res.status} "

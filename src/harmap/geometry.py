@@ -9,8 +9,8 @@ attained at the reported witness angle, so a margin does not depend on
 where the grid falls on the circle.  ``starlike_margins`` and
 ``convex_margins`` take several radii and evaluate each series once on
 all their circles.  Positive margins certify the property on that
-circle; radius estimation locates the sign change by a scan followed by
-bisection.
+circle.  Radius estimation and the polynomial root finder both locate a
+sign change by a scan followed by the one bisection, ``_bisect``.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ DEFAULT_GRID = SamplingGrid(
     radii=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99), angles=256
 )
 
-#: scan radii used for radius estimation (finer than the membership grid)
-RADIUS_SCAN_GRID = SamplingGrid(radii=tuple(np.round(np.arange(0.05, 0.96, 0.05), 2)), angles=MARGIN_ANGLES)
+#: scan radii of radius estimation, 0.05, 0.10, ..., 0.95 (finer than the membership grid)
+RADIUS_SCAN_RADII = tuple(k / 20 for k in range(1, 20))
 
 
 @dataclass(frozen=True)
@@ -365,84 +365,78 @@ def univalent_on_circle(f: HarmonicMap, r: float, angles: int = UNIVALENCE_ANGLE
     return _polygon_is_simple(w)
 
 
-def _property_predicate(f: HarmonicMap, prop: str, angles: int):
+def _property_predicate(f: HarmonicMap, prop: str):
     if prop == "starlike":
-        return lambda r: starlike_margin(f, r, angles).min_margin > 0.0
+        return lambda r: starlike_margin(f, r).min_margin > 0.0
     if prop == "convex":
-        return lambda r: convex_margin(f, r, angles).min_margin > 0.0
+        return lambda r: convex_margin(f, r).min_margin > 0.0
     if prop == "univalent":
-        return lambda r: univalent_on_circle(f, r, max(angles, UNIVALENCE_ANGLES))
+        return lambda r: univalent_on_circle(f, r)
     raise ValueError(f"unknown property {prop!r}")
 
 
-def radius_estimate(
-    f: HarmonicMap, prop: str, tol: float = 1e-4, grid: SamplingGrid = RADIUS_SCAN_GRID
-) -> RadiusEstimate:
-    """Empirical property radius: scan the grid radii, then bisect.
-
-    The estimate brackets the first sign change after the largest prefix
-    of passing radii; margins need not be monotone in r, so the scan
-    order (ascending, first failure wins) is part of the contract.  If
-    no sampled radius fails the degenerate full-disk estimate 1 is
-    returned.  ``tol`` must be positive and finite (``ValueError``
-    otherwise).
-    """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    holds = _property_predicate(f, prop, grid.angles)
-    radii = grid.radii
-    if not holds(radii[0]):
-        raise ValueError(f"property {prop!r} fails already at the smallest grid radius")
-    first_bad = None
-    for k, r in enumerate(radii[1:], start=1):
-        if not holds(r):
-            first_bad = k
-            break
-    if first_bad is None:
-        return RadiusEstimate(prop, 1.0, 1.0, tol)
-    lo, hi = radii[first_bad - 1], radii[first_bad]
-    while hi - lo > 2.0 * tol:
+def _bisect(holds, lo: float, hi: float, width: float) -> tuple[float, float]:
+    """Halve [lo, hi] until hi - lo <= width, keeping holds(lo) true and holds(hi) false."""
+    while hi - lo > width:
         mid = 0.5 * (lo + hi)
         if holds(mid):
             lo = mid
         else:
             hi = mid
-    return RadiusEstimate(prop, lo, hi, tol)
+    return lo, hi
 
 
-def smallest_positive_root(poly_coeffs, scan_step: float = 1e-3, tol: float = 1e-12) -> float:
+def radius_estimate(f: HarmonicMap, prop: str, tol: float = 1e-4) -> RadiusEstimate:
+    """Empirical property radius: scan ``RADIUS_SCAN_RADII``, then bisect.
+
+    The estimate brackets the first sign change after the largest prefix
+    of passing radii; margins need not be monotone in r, so the scan
+    order (ascending, first failure wins) is part of the contract.  Each
+    property is tested at its default angle count.  If no scanned radius
+    fails the degenerate full-disk estimate 1 is returned.  ``tol`` must
+    be positive and finite (``ValueError`` otherwise).
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    holds = _property_predicate(f, prop)
+    if not holds(RADIUS_SCAN_RADII[0]):
+        raise ValueError(f"property {prop!r} fails already at the smallest grid radius")
+    for lo, hi in zip(RADIUS_SCAN_RADII, RADIUS_SCAN_RADII[1:]):
+        if not holds(hi):
+            return RadiusEstimate(prop, *_bisect(holds, lo, hi, 2.0 * tol), tol)
+    return RadiusEstimate(prop, 1.0, 1.0, tol)
+
+
+def smallest_positive_root(poly_coeffs) -> float:
     """First root of the polynomial in the open interval (0, 1).
 
-    ``poly_coeffs`` are ascending (constant term first).  A fixed-step
-    scan locates the first sign change, which bisection then refines;
-    roots exactly at 0 or 1 are excluded.
+    ``poly_coeffs`` are ascending (constant term first).  A scan in steps
+    of 1e-3 locates the first sign change, which bisection then narrows
+    to 1e-12; roots exactly at 0 or 1 are excluded, and a zero met
+    exactly on the way is returned as it is.
     """
     coeffs = np.asarray(poly_coeffs, dtype=np.float64)
 
     def p(x):
         return polyval(x, coeffs)
 
-    xs = np.arange(0.0, 1.0 + scan_step / 2, scan_step)
+    xs = np.arange(0.0, 1.0005, 1e-3)
     vals = p(xs)
     for x, v in zip(xs[1:-1], vals[1:-1]):
         if v == 0.0:
             return float(x)
-    bracket = None
-    for k in range(len(xs) - 1):
-        if vals[k] * vals[k + 1] < 0.0:
-            bracket = (xs[k], xs[k + 1])
-            break
-    if bracket is None:
+    changes = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    if not changes.size:
         raise RootNotFoundError("no sign change in (0, 1)")
-    lo, hi = bracket
-    flo = p(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = p(mid)
-        if fm == 0.0:
-            return float(mid)
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+    k = changes[0]
+    side = np.sign(vals[k])
+    zeros = []
+
+    def before_root(x) -> bool:
+        value = p(x)
+        if value == 0.0:
+            zeros.append(x)
+        return np.sign(value) == side
+
+    lo, hi = _bisect(before_root, xs[k], xs[k + 1], 1e-12)
+    return float(zeros[0]) if zeros else 0.5 * (lo + hi)

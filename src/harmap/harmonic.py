@@ -30,12 +30,13 @@ class SliceParam:
         object.__setattr__(self, "epsilon", eps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HarmonicMap:
     """Pair (h, g) of equally truncated series representing h + conj(g).
 
     ``closed_form`` optionally names a catalog tag whose exact evaluator
-    is preferred by :func:`eval_map`.
+    is preferred by :func:`eval_map`.  Equality and hashing are by
+    identity, as for :class:`AnalyticSeries`.
     """
 
     h: AnalyticSeries
@@ -67,14 +68,14 @@ def analytic_map(h: AnalyticSeries, closed_form: str | None = None) -> HarmonicM
     return HarmonicMap(h=h, g=zero, closed_form=closed_form)
 
 
-def eval_map(f: HarmonicMap, z, *, use_closed_form: bool = True):
+def eval_map(f: HarmonicMap, z):
     """f(z) = h(z) + conj(g(z)) for |z| < 1.
 
     When the map carries a closed-form tag the exact evaluator is used
     instead of the truncated series (the two are required to agree; see
-    the catalog tests).
+    the catalog tests); :func:`eval_map_series` always sums the series.
     """
-    if f.closed_form is not None and use_closed_form:
+    if f.closed_form is not None:
         from .catalog import eval_closed
 
         return eval_closed(f.closed_form, z)

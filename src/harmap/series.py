@@ -24,13 +24,14 @@ class DomainError(ValueError):
     """Evaluation requested outside the open unit disk."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticSeries:
     """Truncated Taylor series ``const + sum_{n=1}^{N} coeffs[n-1] z^n``.
 
     ``coeffs[k]`` is the coefficient of ``z**(k+1)``.  ``const`` is zero
     except for series produced by :meth:`derivative`, which carry the
     derivative's constant term there so evaluation stays correct.
+    Equality and hashing are by identity; compare ``coeffs`` for values.
     """
 
     coeffs: np.ndarray

@@ -105,12 +105,23 @@ def _fmt(x) -> str:
 
 
 class _Recorder:
-    """The checks of one suite, with the run's figure directory and draw memo."""
+    """The checks of one suite, its figure directory, and its member draws through the run's memo."""
 
     def __init__(self, out_dir, memo: dict | None = None) -> None:
         self.checks: list[CheckResult] = []
         self.out_dir = Path(out_dir)
         self.memo = {} if memo is None else memo
+
+    def member(self, cid: ClassId, seed: int, order: int = 64) -> HarmonicMap:
+        return sample_member(cid, seed, order, memo=self.memo)
+
+    def members(self, cid: ClassId, seed: int, count: int, order: int = 64):
+        """Members drawn lazily at seeds seed, seed + 1, ..., seed + count - 1."""
+        return (self.member(cid, seed + k, order) for k in range(count))
+
+    def pairs(self, cid: ClassId, seed: int, count: int):
+        """Member pairs drawn lazily at seeds (seed + 2k, seed + 2k + 1), k < count."""
+        return ((self.member(cid, seed + 2 * k), self.member(cid, seed + 2 * k + 1)) for k in range(count))
 
     def close(self, description: str, measured: float, expected: float, tol: float) -> None:
         ok = abs(measured - expected) <= tol
@@ -170,19 +181,6 @@ def _unit_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _members(cid: ClassId, seed: int, count: int, order: int = 64, *, memo: dict):
-    """Members drawn lazily at seeds seed, seed + 1, ..., seed + count - 1."""
-    return (sample_member(cid, seed + k, order, memo=memo) for k in range(count))
-
-
-def _pairs(cid: ClassId, seed: int, count: int, *, memo: dict):
-    """Member pairs drawn lazily at seeds (seed + 2k, seed + 2k + 1), k < count."""
-    return (
-        (sample_member(cid, seed + 2 * k, memo=memo), sample_member(cid, seed + 2 * k + 1, memo=memo))
-        for k in range(count)
-    )
-
-
 def _rejection(f: HarmonicMap, cid: ClassId, shown: HarmonicMap) -> str | None:
     """None when f is a class member, else a witness of ``shown`` with f's margin."""
     res = membership(f, cid)
@@ -236,7 +234,7 @@ def _suite_t2_5(rec: _Recorder, seed: int) -> None:
 
         rec.counted(
             f"{name.value}: gap bound {bound_label} over {CLASS_SAMPLES} members, n<=32 [sampled]",
-            _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
+            rec.members(cid, seed, CLASS_SAMPLES),
             violation,
         )
     for tag, rule in [(CatalogTag.MACGREGOR_R, 1), (CatalogTag.CHICHRA_W, 2)]:
@@ -292,7 +290,7 @@ def _suite_t2_6(rec: _Recorder, seed: int) -> None:
         rec.counted(
             f"{name.value}: modulus envelope at r in (0.25, 0.5, 0.75) over "
             f"{CLASS_SAMPLES} members [sampled]",
-            _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
+            rec.members(cid, seed, CLASS_SAMPLES),
             outside,
         )
 
@@ -368,7 +366,7 @@ def _suite_t2_11(rec: _Recorder, seed: int) -> None:
     rec.counted(
         f"R_H0 closed under the product with the convex half-plane kernel, "
         f"{CLASS_SAMPLES} members [sampled]",
-        _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
+        rec.members(cid, seed, CLASS_SAMPLES),
         lambda f: _rejection(tilde_convolve(phi, f), cid, f),
     )
 
@@ -381,7 +379,7 @@ def _suite_t2_12(rec: _Recorder, seed: int) -> None:
         combos = (
             convex_combination(
                 rng.dirichlet(np.ones(4)),
-                [sample_member(cid, seed + 4 * k + j, memo=rec.memo) for j in range(4)],
+                [rec.member(cid, seed + 4 * k + j) for j in range(4)],
             )
             for k in range(CLASS_SAMPLES // 4)
         )
@@ -500,7 +498,7 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.R_H0)
     rec.counted(
         f"R_H0 generator always passes membership, {CLASS_SAMPLES} members [sampled]",
-        _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
+        rec.members(cid, seed, CLASS_SAMPLES),
         lambda f: _rejection(f, cid, f),
     )
 
@@ -514,11 +512,11 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
 
     rec.counted(
         "second-part rotations stay in the class, 100 members x 16 [sampled]",
-        _members(cid, seed + 7000, 100, memo=rec.memo),
+        rec.members(cid, seed + 7000, 100),
         rotation_rejected,
     )
 
-    members = list(_members(cid, seed + 31000, RADIUS_MEMBERS, memo=rec.memo))
+    members = list(rec.members(cid, seed + 31000, RADIUS_MEMBERS))
     _one_sided_convex(rec, "convexity radius floor sqrt(2)-1", members, math.sqrt(2) - 1)
 
 
@@ -533,7 +531,7 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.W_H0)
     rec.counted(
         f"class closed under convolution, {PAIR_SAMPLES // 2} pairs [sampled]",
-        _pairs(cid, seed, PAIR_SAMPLES // 2, memo=rec.memo),
+        rec.pairs(cid, seed, PAIR_SAMPLES // 2),
         lambda pair: _rejection(harmonic_convolve(*pair), cid, pair[0]),
     )
 
@@ -546,14 +544,14 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     for phi, label in [(phi_half, "convex kernel"), (phi_cheby, "Re phi/z > 1/2 kernel")]:
         rec.counted(
             f"closed under product with {label}, {PAIR_SAMPLES} members [sampled]",
-            _members(cid, seed + 5000, PAIR_SAMPLES, memo=rec.memo),
+            rec.members(cid, seed + 5000, PAIR_SAMPLES),
             lambda f: _rejection(tilde_convolve(phi, f), cid, f),
         )
 
     chich = make(CatalogTag.CHICHRA_W, 64)
     worst = min(
         rep.min_margin
-        for f in _members(cid, seed + 9000, RADIUS_MEMBERS, memo=rec.memo)
+        for f in rec.members(cid, seed + 9000, RADIUS_MEMBERS)
         for rep in convex_margins(tilde_convolve(chich.h, f), (0.3, 0.6, 0.9))
     )
     rec.at_least(
@@ -598,23 +596,23 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
         rec.counted(
             f"{name.value}: per-part coefficient bounds 1/n^{bound_pow} over "
             f"{CLASS_SAMPLES} members [sampled]",
-            _members(cid, seed, CLASS_SAMPLES, memo=rec.memo),
+            rec.members(cid, seed, CLASS_SAMPLES),
             out_of_bounds,
         )
 
     u_cid, v_cid = ClassId(ClassName.U_H0), ClassId(ClassName.V_H0)
-    members = list(_members(u_cid, seed + 17000, RADIUS_MEMBERS, memo=rec.memo))
+    members = list(rec.members(u_cid, seed + 17000, RADIUS_MEMBERS))
     _one_sided_convex(rec, "convexity radius floor 1/2", members, 0.5)
 
     radii = (0.3, 0.6, 0.9)
     worst_star = min(
         rep.min_margin
-        for f in _members(u_cid, seed + 23000, 100, memo=rec.memo)
+        for f in rec.members(u_cid, seed + 23000, 100)
         for rep in starlike_margins(f, radii)
     )
     worst_conv = min(
         rep.min_margin
-        for f in _members(v_cid, seed + 29000, 100, memo=rec.memo)
+        for f in rec.members(v_cid, seed + 29000, 100)
         for rep in convex_margins(f, radii)
     )
     rec.at_least("U_H0 members fully starlike on sampled circles [sampled]", worst_star, 1e-9)
@@ -627,7 +625,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     for cid, label in ((u_cid, "U*U lands in U"), (v_cid, "U*U lands in V")):
         rec.counted(
             f"{label}, {PAIR_SAMPLES} pairs [sampled]",
-            (harmonic_convolve(f, F) for f, F in _pairs(u_cid, seed, PAIR_SAMPLES, memo=rec.memo)),
+            (harmonic_convolve(f, F) for f, F in rec.pairs(u_cid, seed, PAIR_SAMPLES)),
             lambda conv: None if membership(conv, cid).is_member else _witness(conv),
         )
 
@@ -636,7 +634,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
 
     rec.counted(
         f"V*V lands in V, {PAIR_SAMPLES} pairs [sampled]",
-        _pairs(v_cid, seed + 100000, PAIR_SAMPLES, memo=rec.memo),
+        rec.pairs(v_cid, seed + 100000, PAIR_SAMPLES),
         pair_rejected,
     )
 
@@ -647,7 +645,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     eps_grid = _unit_roots(SWEEP_POINTS)
     worst = max(
         quadratic_sum(slice_map(f, eps))
-        for f in _members(v_cid, seed + 300000, PAIR_SAMPLES, memo=rec.memo)
+        for f in rec.members(v_cid, seed + 300000, PAIR_SAMPLES)
         for eps in eps_grid
     )
     rec.at_most(
@@ -665,7 +663,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     rec.counted(
         "convex kernel preserves both classes [sampled]",
         (
-            (sample_member(cid, seed + offset + k, memo=rec.memo), cid)
+            (rec.member(cid, seed + offset + k), cid)
             for k in range(PAIR_SAMPLES)
             for offset, cid in ((400000, u_cid), (500000, v_cid))
         ),
@@ -674,7 +672,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
 
     worst_conv = min(
         rep.min_margin
-        for f, F in _pairs(u_cid, seed + 600000, RADIUS_MEMBERS, memo=rec.memo)
+        for f, F in rec.pairs(u_cid, seed + 600000, RADIUS_MEMBERS)
         for rep in convex_margins(harmonic_convolve(f, F), (0.3, 0.6, 0.9, 0.95))
     )
     rec.at_least("U*U convolutions convex on sampled circles [sampled]", worst_conv, 1e-9)
@@ -684,7 +682,7 @@ def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.S_R)
     rec.counted(
         "real-coefficient generator accepted, 100 members [sampled]",
-        _members(cid, seed, 100, memo=rec.memo),
+        rec.members(cid, seed, 100),
         lambda f: _rejection(f, cid, f),
     )
 
@@ -775,12 +773,12 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
     r_cid, u_cid = ClassId(ClassName.R_H0), ClassId(ClassName.U_H0)
     worst_star = min(
         rep.min_margin
-        for f in _members(r_cid, seed, 100, memo=rec.memo)
+        for f in rec.members(r_cid, seed, 100)
         for rep in starlike_margins(alexander_plus(f), (0.3, 0.6, 0.9))
     )
     worst_conv = min(
         rep.min_margin
-        for f in _members(u_cid, seed, 100, memo=rec.memo)
+        for f in rec.members(u_cid, seed, 100)
         for rep in convex_margins(alexander_plus(f), (0.3, 0.6, 0.9, 0.95))
     )
     rec.at_least("operator images of R_H0 members starlike on circles [sampled]", worst_star, 1e-9)
@@ -798,8 +796,8 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
     rec.counted(
         f"operator lands R_H0 in W_H0 and U_H0 in V_H0 (both signs), {CLASS_SAMPLES} members [sampled]",
         zip(
-            _members(r_cid, seed, CLASS_SAMPLES, memo=rec.memo),
-            _members(u_cid, seed, CLASS_SAMPLES, memo=rec.memo),
+            rec.members(r_cid, seed, CLASS_SAMPLES),
+            rec.members(u_cid, seed, CLASS_SAMPLES),
         ),
         off_target,
     )
@@ -812,23 +810,12 @@ FIG_SERIES_ORDER = 1536
 
 
 def _suite_fig(rec: _Recorder, seed: int, which: str) -> None:
-    if which == "FIG1":
-        tag, base, margin_fn, functional = (
-            CatalogTag.ALEXANDER_PLUS_K,
-            CatalogTag.HARMONIC_KOEBE,
-            starlike_margins,
-            "starlike",
-        )
-        fname = "fig1.svg"
-    else:
-        tag, base, margin_fn, functional = (
-            CatalogTag.ALEXANDER_PLUS_L,
-            CatalogTag.HARMONIC_HALF_PLANE,
-            convex_margins,
-            "convex",
-        )
-        fname = "fig2.svg"
-    big = alexander_plus(make(base, FIG_SERIES_ORDER))
+    tag, margin_fn, functional = {
+        "FIG1": (CatalogTag.ALEXANDER_PLUS_K, starlike_margins, "starlike"),
+        "FIG2": (CatalogTag.ALEXANDER_PLUS_L, convex_margins, "convex"),
+    }[which]
+    fname = f"{which.lower()}.svg"
+    big = make(tag, FIG_SERIES_ORDER)
     worst = min(rep.min_margin for rep in margin_fn(big, FIG_MARGIN_RADII))
     rec.at_most(
         f"{tag.value}: {functional} margin goes negative on r in {FIG_MARGIN_RADII} [oracle]",
@@ -851,7 +838,7 @@ def _relative_floors(rec: _Recorder, seed: int, name: ClassName, floor: str, con
     """Membership of 10 sampled members and the one-sided convexity floor per reference."""
     for label, ref, bound in configs:
         cid = ClassId(name, reference_map=ref)
-        members = list(_members(cid, seed, RADIUS_MEMBERS, order=200, memo=rec.memo))
+        members = list(rec.members(cid, seed, RADIUS_MEMBERS, order=200))
         rec.counted(
             f"relative class membership holds ({label}) [sampled]",
             members[:10],
@@ -917,10 +904,12 @@ def suite_ids() -> tuple[str, ...]:
 def run_suite(suite_id: str, seed: int = 42, out_dir=".", memo: dict | None = None) -> SuiteReport:
     """Run one suite deterministically under the seed.
 
-    ``memo`` is the draw memo of :func:`harmap.classes.sample_member`;
-    suites that share one skip the grid evaluation of repeated draws.
-    Without it the suite uses a fresh one.  The report does not depend
-    on it.
+    ``memo`` is the draw memo of :func:`harmap.classes.sample_member`,
+    which maps (class name, seed, order) to a scale.  The suite's
+    recorder passes it to every draw, so suites that share one skip the
+    grid evaluation of repeated draws, whatever the reference map of a
+    _G class.  Without it the suite uses a fresh one.  The report does
+    not depend on it.
     """
     if suite_id not in _SUITES:
         raise ValueError(f"unknown suite {suite_id!r}; known: {', '.join(_SUITES)}")

@@ -136,3 +136,19 @@ class TestIntegerFormulas:
             exact = [taylor.coeff(z, n) for n in range(1, order + 1)]
             assert all(c.is_Rational for c in exact)
             np.testing.assert_array_equal(coeffs, [float(c) for c in exact])
+
+    @pytest.mark.parametrize(
+        "tag, base",
+        [
+            (CatalogTag.ALEXANDER_PLUS_K, CatalogTag.HARMONIC_KOEBE),
+            (CatalogTag.ALEXANDER_PLUS_L, CatalogTag.HARMONIC_HALF_PLANE),
+        ],
+    )
+    @pytest.mark.parametrize("order", [2, 3, 64, 1536, 6000])
+    def test_operator_images_equal_coefficientwise_division(self, tag, base, order):
+        # built by the Alexander operator, bit for bit the base coefficients over float n
+        f, plain = make(tag, order), make(base, order)
+        n = np.arange(1, order + 1, dtype=np.float64)
+        assert f.closed_form == tag.value
+        assert f.h.coeffs.tobytes() == (plain.h.coeffs / n).tobytes()
+        assert f.g.coeffs.tobytes() == (plain.g.coeffs / n).tobytes()

@@ -198,6 +198,21 @@ class TestGrowthEnvelope:
             growth_envelope(ClassId(ClassName.S_R), 0.5)
 
 
+class TestClassId:
+    @pytest.mark.parametrize("name", [ClassName.R_H0_G, ClassName.F_H0_G])
+    def test_reference_classes_need_a_reference(self, name):
+        with pytest.raises(ValueError, match="requires a reference map"):
+            ClassId(name)
+
+    @pytest.mark.parametrize("name", sorted(set(ClassName) - {ClassName.R_H0_G, ClassName.F_H0_G}))
+    def test_other_classes_refuse_a_reference(self, name):
+        # the class would ignore it in membership, while the sampler would
+        # multiply its draw through G' and leave the class
+        with pytest.raises(ValueError, match="takes no reference map"):
+            ClassId(name, reference_map=make(CatalogTag.KOEBE, 64).h)
+        assert ClassId(name).reference_map is None
+
+
 class TestSampling:
     @pytest.mark.parametrize(
         "name",
@@ -233,7 +248,7 @@ class TestSampling:
                 assert drawn.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
         # derivative classes keep one scale per distinct draw; the rest nothing
         assert len(memo) == (6 if name in GRID_CLASSES else 0)
-        assert all(isinstance(s, float) for s, _ in memo.values())
+        assert all(isinstance(s, float) for s in memo.values())
 
     def test_memo_hit_skips_the_grid_evaluation(self, monkeypatch):
         calls = []
@@ -252,15 +267,18 @@ class TestSampling:
         sample_member(cid, 5, 32, memo=memo)  # another order is another draw
         assert len(calls) == 2
 
-    def test_memo_keys_on_the_reference_object(self):
-        # an equal but distinct reference series is a distinct key; the memo
-        # keeps each reference alive, so its id cannot be reused while it lives
+    def test_memo_shares_one_entry_across_references(self):
+        # the scale depends on the reference only through the grid, which is
+        # the same for every reference: two distinct references share a key
         memo = {}
-        for _ in range(2):
-            cid = ClassId(ClassName.F_H0_G, reference_map=make(CatalogTag.HALF_PLANE, 64).h)
-            sample_member(cid, 1, memo=memo)
-        assert len(memo) == 2
-        assert all(ref is not None for _, ref in memo.values())
+        refs = [make(CatalogTag.HALF_PLANE, 64).h, make(CatalogTag.KOEBE, 64).h]
+        for ref in refs:
+            cid = ClassId(ClassName.F_H0_G, reference_map=ref)
+            drawn = sample_member(cid, 1, memo=memo)
+            fresh = sample_member(cid, 1)
+            assert drawn.h.coeffs.tobytes() == fresh.h.coeffs.tobytes()
+            assert drawn.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
+        assert list(memo) == [(ClassName.F_H0_G, 1, 64)]
 
     def test_growth_envelope_respected_by_R_samples(self):
         cid = ClassId(ClassName.R_H0)

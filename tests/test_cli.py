@@ -45,6 +45,14 @@ class TestExitCodes:
         assert main(["classify", "--class", cls, "--input", "koebe", "--order", "16"]) == 2
         assert "--ref-map is required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cls", ["R_H0", "W_H0", "F_H0", "U_H0", "V_H0", "S_R"])
+    def test_ref_map_refused_outside_reference_classes(self, cls, capsys):
+        argv = ["classify", "--class", cls, "--ref-map", "koebe", "--input", "koebe", "--order", "16"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: --ref-map applies only to the _G classes")
+        assert captured.out == ""
+
     def test_member_and_non_member(self, tmp_path, capsys):
         inside = _write(tmp_path / "inside.json", dump_map(make(CatalogTag.U_SHARP_CONJ, 8)))
         assert main(["classify", "--class", "U_H0", "--input", inside]) == 0

@@ -493,13 +493,85 @@ class TestRadiusEstimate:
             radius_estimate(identity_map(), "bounded", tol=1e-3)
 
     def test_fails_at_min_radius(self):
-        lam = make(CatalogTag.ALEXANDER_PLUS_K, 256)
-        grid = SamplingGrid(radii=(0.85, 0.9), angles=256)
-        with pytest.raises(ValueError):
-            radius_estimate(lam, "starlike", tol=1e-3, grid=grid)
+        # h = z + 15 z^2 has a critical point at |z| = 1/30, inside the first
+        # scan radius 0.05, where Re(z h'/h) = -2 at z = -0.05
+        h = np.zeros(8, dtype=np.complex128)
+        h[0], h[1] = 1.0, 15.0
+        f = analytic_map(AnalyticSeries(h))
+        assert starlike_margin(f, 0.05).min_margin < 0
+        with pytest.raises(ValueError, match="smallest grid radius"):
+            radius_estimate(f, "starlike", tol=1e-3)
+
+
+def scan_bisect_root(poly_coeffs, scan_step=1e-3, tol=1e-12):
+    """Reference root finder: the same scan, then a bisection loop of its own."""
+    coeffs = np.asarray(poly_coeffs, dtype=np.float64)
+
+    def p(x):
+        return np.polynomial.polynomial.polyval(x, coeffs)
+
+    xs = np.arange(0.0, 1.0 + scan_step / 2, scan_step)
+    vals = p(xs)
+    for x, v in zip(xs[1:-1], vals[1:-1]):
+        if v == 0.0:
+            return float(x)
+    bracket = None
+    for k in range(len(xs) - 1):
+        if vals[k] * vals[k + 1] < 0.0:
+            bracket = (xs[k], xs[k + 1])
+            break
+    if bracket is None:
+        raise RootNotFoundError("no sign change in (0, 1)")
+    lo, hi = bracket
+    flo = p(lo)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        fm = p(mid)
+        if fm == 0.0:
+            return float(mid)
+        if flo * fm < 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return 0.5 * (lo + hi)
+
+
+def root_or_none(finder, coeffs):
+    try:
+        return finder(coeffs)
+    except RootNotFoundError:
+        return None
 
 
 class TestRootFinding:
+    def test_matches_the_scan_bisect_reference_bitwise(self):
+        rng = np.random.default_rng(20)
+        polys = []
+        for _ in range(600):
+            # a random factor times (x - r), r in (0, 1): a root is always bracketed
+            factor = rng.standard_normal(rng.integers(1, 7))
+            polys.append(np.polynomial.polynomial.polymul(factor, [-rng.uniform(0.0, 1.0), 1.0]))
+        polys += [rng.standard_normal(rng.integers(2, 9)) for _ in range(400)]
+        # roots at bisection midpoints are met exactly: x - m vanishes at m
+        xs = np.arange(0.0, 1.0005, 1e-3)
+        for k in rng.integers(0, 1000, 50):
+            lo, hi = xs[k], xs[k + 1]
+            for _ in range(rng.integers(1, 6)):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if rng.random() < 0.5 else (mid, hi)
+            polys.append([-0.5 * (lo + hi), 1.0])
+        found = 0
+        for coeffs in polys:
+            got = root_or_none(smallest_positive_root, coeffs)
+            want = root_or_none(scan_bisect_root, coeffs)
+            if want is None:
+                assert got is None
+                continue
+            found += 1
+            assert type(got) is type(want)
+            assert float(got).hex() == float(want).hex()
+        assert found > 700
+
     def test_quartic_root(self):
         coeffs = [-4.0, 4.0, 13.0, 2.0, 1.0]
         root = smallest_positive_root(coeffs)

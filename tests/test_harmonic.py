@@ -68,6 +68,17 @@ class TestEvalMap:
             HarmonicMap(identity_series(4), AnalyticSeries(np.zeros(5)))
 
 
+class TestIdentityEquality:
+    def test_distinct_equal_values_are_unequal_and_hashable(self):
+        # equality is by identity: never the ambiguous truth value of an array
+        a, b = make(CatalogTag.KOEBE, 8), make(CatalogTag.KOEBE, 8)
+        assert a.h.coeffs.tobytes() == b.h.coeffs.tobytes()
+        for x, y in ((a, b), (a.h, b.h)):
+            assert (x == y) is False
+            assert (x == x) is True
+            assert len({x, y, x}) == 2
+
+
 class TestJacobian:
     def test_identity(self):
         f = analytic_map(identity_series(8))

@@ -1,7 +1,7 @@
 import pytest
 
 from harmap import verify
-from harmap.classes import MembershipResult
+from harmap.classes import ClassId, ClassName, MembershipResult, sample_member
 from harmap.verify import SuiteReport, _Recorder, run_suite, suite_ids
 
 
@@ -25,6 +25,27 @@ class TestCounted:
         rec = _Recorder(".")
         rec.counted("no witness text", [1, 2], lambda k: "")
         assert rec.checks[0].measured == "2 (first: )"
+
+
+class TestDraws:
+    def test_members_and_pairs_equal_fresh_draws(self):
+        rec = _Recorder(".")
+        cid = ClassId(ClassName.R_H0)
+        drawn = list(rec.members(cid, 5, 3, order=16)) + [f for pair in rec.pairs(cid, 5, 2) for f in pair]
+        seeds_orders = [(5, 16), (6, 16), (7, 16), (5, 64), (6, 64), (7, 64), (8, 64)]
+        for f, (seed, order) in zip(drawn, seeds_orders, strict=True):
+            fresh = sample_member(cid, seed, order)
+            assert f.h.coeffs.tobytes() == fresh.h.coeffs.tobytes()
+            assert f.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
+        assert sorted(rec.memo) == [(ClassName.R_H0, s, o) for s, o in sorted(seeds_orders)]
+
+    def test_relative_suite_keeps_one_scale_per_member_for_all_references(self, tmp_path, monkeypatch):
+        # T4.7 draws the same seeds under three reference maps
+        monkeypatch.setattr(verify, "RADIUS_MEMBERS", 4)
+        memo = {}
+        report = run_suite("T4.7", 42, tmp_path, memo=memo)
+        assert report.passed
+        assert sorted(memo) == [(ClassName.R_H0_G, 42 + k, 200) for k in range(4)]
 
 
 class TestRunSuite:
