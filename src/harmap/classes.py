@@ -1,9 +1,11 @@
 """Membership certificates, coefficient bounds, growth envelopes, samplers.
 
 Two kinds of classes appear.  Grid classes are defined by a strict
-pointwise inequality on derivatives (checked on a polar grid with a
-positive-margin tolerance); coefficient classes are defined by an exact
-weighted coefficient sum and are checked without discretization.
+pointwise inequality on derivatives over the disk.  Their slack is
+superharmonic, so it is checked on one circle, the boundary of the
+closed disk it certifies, with a positive-margin tolerance.
+Coefficient classes are defined by an exact weighted coefficient sum
+and are checked without discretization.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import DEFAULT_GRID, SamplingGrid
+from .geometry import DEFAULT_GRID, SamplingGrid, _winding_number
 from .harmonic import HarmonicMap, slice_map
 from .series import AnalyticSeries
 
@@ -26,9 +28,9 @@ STRICTNESS_TOL = 1e-9
 #: floating-point slack for the exact coefficient classes
 EXACT_TOL = 1e-12
 
-#: restricted grid for relative (_G) classes: their reference-map series
-#: converge too slowly for trustworthy evaluation near |z| = 1
-G_VARIANT_GRID = SamplingGrid(radii=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75), angles=256)
+#: certifying circle of the relative (_G) classes: their reference-map
+#: series converge too slowly for trustworthy evaluation near |z| = 1
+G_VARIANT_GRID = SamplingGrid(radius=0.75, angles=256)
 
 
 class ClassName(str, Enum):
@@ -48,7 +50,7 @@ COEFFICIENT_CLASSES = {ClassName.U_H0, ClassName.V_H0, ClassName.S_R}
 
 
 class SingularReferenceError(ArithmeticError):
-    """The reference map's derivative vanishes on the test grid."""
+    """The reference map's derivative vanishes on or inside the certifying circle."""
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,7 @@ class BoundCheckReport:
 
 
 def _certifying_grid(c: ClassId) -> SamplingGrid:
-    """The grid that :func:`membership` certifies the class on by default."""
+    """The circle that :func:`membership` certifies the class on."""
     return G_VARIANT_GRID if c.name in RELATIVE_CLASSES else DEFAULT_GRID
 
 
@@ -111,8 +113,9 @@ def _grid_slack(f: HarmonicMap, c: ClassId, z: np.ndarray) -> np.ndarray:
     if name is ClassName.F_H0:
         return 1.0 - np.abs(hp_s.evaluate(z) - 1.0) - np.abs(gp_s.evaluate(z))
     gref = c.reference_map.derivative().evaluate(z)
-    if np.min(np.abs(gref)) < 1e-12:
-        raise SingularReferenceError("reference derivative vanishes on the grid")
+    # a zero inside makes G' wind about 0 along the circle (argument principle)
+    if np.min(np.abs(gref)) < 1e-12 or abs(_winding_number(gref, 0.0)) > 0.5:
+        raise SingularReferenceError("reference derivative vanishes on or inside the certifying circle")
     hq = hp_s.evaluate(z) / gref
     gq = gp_s.evaluate(z) / gref
     if name is ClassName.R_H0_G:
@@ -122,20 +125,23 @@ def _grid_slack(f: HarmonicMap, c: ClassId, z: np.ndarray) -> np.ndarray:
     raise AssertionError(name)
 
 
-def membership(f: HarmonicMap, c: ClassId, grid: SamplingGrid | None = None) -> MembershipResult:
+def membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
     """Certify class membership; see the module docstring for semantics.
 
-    Grid classes report the infimum of the defining slack over the grid
-    with the attaining point as witness; margins in [0, tol] are flagged
-    as boundary rather than rejected.  Coefficient classes report
+    Grid classes report the minimum of the defining slack on the
+    certifying circle (|z| = 0.99, or 0.75 for the _G classes) with the
+    attaining point as witness; margins in [0, tol] are flagged as
+    boundary rather than rejected.  The slack is a harmonic real part
+    minus moduli of analytic functions, hence superharmonic, so its
+    infimum over the closed disk is attained on the boundary circle.
+    For the _G classes that needs G' free of zeros in the closed disk,
+    else ``SingularReferenceError``.  Coefficient classes report
     1 - (weighted sum) with the dominant coefficient index as witness.
     """
     if not f.is_normalized():
         raise ValueError("membership requires a normalized map")
     if c.name in GRID_CLASSES:
-        z = (_certifying_grid(c) if grid is None else grid).points()
-        if z.size == 0:
-            raise ValueError("empty sampling grid")
+        z = _certifying_grid(c).points()
         slack = _grid_slack(f, c, z)
         k = int(np.argmin(slack))
         margin = float(slack[k])
@@ -277,7 +283,7 @@ def _sample_coefficient_class(c: ClassId, rng: np.random.Generator, order: int) 
 
 
 def _grid_scale(name: ClassName, grid: SamplingGrid, q: np.ndarray, p: np.ndarray, target: float) -> float:
-    """The scale s that puts the grid slack of 1 + s*q, s*p at ``target``."""
+    """The scale s that puts the circle slack of 1 + s*q, s*p at ``target``."""
     z = grid.points()
     qv = AnalyticSeries(q).evaluate(z)
     pv = AnalyticSeries(p).evaluate(z)
@@ -288,18 +294,13 @@ def _grid_scale(name: ClassName, grid: SamplingGrid, q: np.ndarray, p: np.ndarra
     return (1.0 - target) / (-worst) if worst < 0 else 1.0
 
 
-def _sample_derivative_class(
-    c: ClassId, rng: np.random.Generator, order: int, seed: int, memo: dict
-) -> HarmonicMap:
+def _sample_derivative_class(c: ClassId, rng: np.random.Generator, order: int) -> HarmonicMap:
     # draw h' (or h' + z h'', or h'-1) as 1 + s*q and the g side as s*p,
-    # then choose s so the grid slack hits a target in [0.1, 0.7]
+    # then choose s so the circle slack hits a target in [0.1, 0.7]
     m = np.arange(1, order)
     q = _split_complex(rng, m.size) / m**2
     p = 0.4 * _split_complex(rng, m.size) / m**2
-    key = (c.name, seed, order)
-    if key not in memo:
-        memo[key] = _grid_scale(c.name, _certifying_grid(c), q, p, rng.uniform(0.1, 0.7))
-    s = memo[key]
+    s = _grid_scale(c.name, _certifying_grid(c), q, p, rng.uniform(0.1, 0.7))
 
     if c.reference_map is not None:
         # relative classes: multiply the derivative data through G' so the
@@ -321,23 +322,14 @@ def _sample_derivative_class(
     return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
 
 
-def sample_member(c: ClassId, seed: int, order: int = 64, memo: dict | None = None) -> HarmonicMap:
+def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
     """Deterministic pseudo-random member of the class.
 
     Coefficient classes rescale a random draw so the defining sum lands
-    in [0.3, 1]; derivative classes rescale so the grid margin lands in
-    [0.1, 0.7].  The output always passes :func:`membership` on the
-    grid that class is certified on.
-
-    ``memo``, a dict owned by the caller, spares a derivative class the
-    grid evaluation that picks its scale when the same draw repeats.  It
-    maps (class name, seed, order) to the float scale, never to the map,
-    so it stays small; a hit still draws the coefficients and returns a
-    map bit-identical to a draw without the memo.  The scale depends on
-    the reference map of a _G class only through the grid, which is the
-    same for every reference, so one entry serves all references.  Scope
-    it to one run (as :func:`harmap.verify.run_all` does): it grows with
-    every distinct draw.  Coefficient classes do not use it.
+    in [0.3, 1]; derivative classes rescale so the margin on the
+    certifying circle lands in [0.1, 0.7].  The output always passes
+    :func:`membership`, given a _G reference whose derivative has no
+    zero in the closed disk.
     """
     c = c if isinstance(c, ClassId) else ClassId(c)
     rng = np.random.default_rng(seed)
@@ -354,5 +346,5 @@ def sample_member(c: ClassId, seed: int, order: int = 64, memo: dict | None = No
         g = np.zeros(order, dtype=np.complex128)
         return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
     if c.name in GRID_CLASSES:
-        return _sample_derivative_class(c, rng, order, seed, {} if memo is None else memo)
+        return _sample_derivative_class(c, rng, order)
     raise ValueError(f"cannot sample class {c.name.value}")

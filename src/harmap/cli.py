@@ -3,9 +3,10 @@
 Maps travel as JSON documents ``{"order": N, "h": [[re, im], ...],
 "g": [[re, im], ...]}`` with coefficient arrays starting at the z^1
 term; ``g`` may be omitted and is then zero.  Coefficients must be
-finite: JSON ``NaN`` and ``Infinity`` are input errors.  Exit codes: 0
-success or membership true, 1 membership false or suite failure, 2
-usage or input errors.
+finite: JSON ``NaN`` and ``Infinity`` are input errors, and so is a
+``--ref-map`` whose derivative vanishes in the certified disk.  Exit
+codes: 0 success or membership true, 1 membership false or suite
+failure, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .catalog import CatalogTag, make
-from .classes import RELATIVE_CLASSES, ClassId, ClassName, membership
+from .classes import RELATIVE_CLASSES, ClassId, ClassName, SingularReferenceError, membership
 from .geometry import radius_estimate
 from .harmonic import HarmonicMap, alexander_minus, alexander_plus, harmonic_convolve, tilde_convolve
 from .render import render_image
@@ -243,10 +244,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError, SingularReferenceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

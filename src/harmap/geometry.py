@@ -11,6 +11,8 @@ where the grid falls on the circle.  ``starlike_margins`` and
 all their circles.  Positive margins certify the property on that
 circle.  Radius estimation and the polynomial root finder both locate a
 sign change by a scan followed by the one bisection, ``_bisect``.
+A ``SamplingGrid`` is the one circle that a class certificate of
+:mod:`harmap.classes` samples.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
@@ -52,36 +55,29 @@ class RootNotFoundError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Polar grid: circle radii and an equispaced angle count."""
+    """One circle |z| = ``radius`` at an equispaced angle count."""
 
-    radii: tuple[float, ...]
+    radius: float
     angles: int
 
     def __post_init__(self) -> None:
-        radii = tuple(float(r) for r in self.radii)
-        if not radii:
-            raise ValueError("grid needs at least one radius")
-        if any(not 0.0 < r < 1.0 for r in radii):
-            raise ValueError("grid radii must lie strictly inside (0, 1)")
-        if any(b <= a for a, b in zip(radii, radii[1:])):
-            raise ValueError("grid radii must be strictly ascending")
+        if not 0.0 < self.radius < 1.0:
+            raise ValueError("grid radius must lie strictly inside (0, 1)")
         if self.angles < 64:
             raise ValueError("grid needs at least 64 angles")
-        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "radius", float(self.radius))
 
     def circle(self, r: float) -> np.ndarray:
         return _circle(r, self.angles)[1]
 
     def points(self) -> np.ndarray:
-        """All grid points, radius-major."""
-        return np.concatenate([self.circle(r) for r in self.radii])
+        """The grid's points, from angle 0 counter-clockwise."""
+        return self.circle(self.radius)
 
 
-DEFAULT_GRID = SamplingGrid(
-    radii=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99), angles=256
-)
+DEFAULT_GRID = SamplingGrid(radius=0.99, angles=256)
 
-#: scan radii of radius estimation, 0.05, 0.10, ..., 0.95 (finer than the membership grid)
+#: scan radii of radius estimation, 0.05, 0.10, ..., 0.95
 RADIUS_SCAN_RADII = tuple(k / 20 for k in range(1, 20))
 
 
@@ -279,6 +275,19 @@ def convex_margin(f: HarmonicMap, r: float, angles: int = MARGIN_ANGLES) -> Geom
     return convex_margins(f, (r,), angles)[0]
 
 
+def _cross(ax, ay, bx, by):
+    return ax * by - ay * bx
+
+
+def _crosses(ax, ay, bx, by, cx, cy, dx, dy):
+    """Strict sign test: the ends of each of ab and cd lie on both sides of the other's line."""
+    d1 = _cross(cx - ax, cy - ay, bx - ax, by - ay)
+    d2 = _cross(dx - ax, dy - ay, bx - ax, by - ay)
+    d3 = _cross(ax - cx, ay - cy, dx - cx, dy - cy)
+    d4 = _cross(bx - cx, by - cy, dx - cx, dy - cy)
+    return (d1 * d2 < 0) & (d3 * d4 < 0)
+
+
 def _polygon_is_simple(w: np.ndarray) -> bool:
     """Strict segment-pair test on the closed polygon through w.
 
@@ -292,9 +301,10 @@ def _polygon_is_simple(w: np.ndarray) -> bool:
     Only segments whose bounding boxes overlap can cross.  A sweep over
     the boxes sorted by smallest x selects those pairs, at most
     ``PAIR_CHUNK`` at a time, and the sign test runs on them alone, with
-    the lower-indexed segment first.  Pairs with disjoint boxes are never
-    tested, so a nearly collinear pair whose signs rounding would flip is
-    not counted either.  Cost: O(m log m + candidate pairs) time and
+    the lower-indexed segment first.  Rounding can flip a sign of a
+    nearly collinear pair, so each pair the float test flags is tested
+    again in exact rational arithmetic on the float vertices, and only an
+    exact crossing counts.  Cost: O(m log m + candidate pairs) time and
     O(m + PAIR_CHUNK) memory; a polygon whose boxes all overlap still
     takes O(m**2) time.
     """
@@ -309,9 +319,6 @@ def _polygon_is_simple(w: np.ndarray) -> bool:
     counts = ends - np.arange(1, m + 1)
     offsets = np.concatenate(([0], np.cumsum(counts)))
 
-    def cross(ax, ay, bx, by):
-        return ax * by - ay * bx
-
     start = 0
     while start < m:
         limit = offsets[start] + PAIR_CHUNK
@@ -324,14 +331,10 @@ def _polygon_is_simple(w: np.ndarray) -> bool:
         # segment (m-1, 0) is adjacent to segment 0
         keep = (y_lo[j] <= y_hi[i]) & (y_lo[i] <= y_hi[j]) & (gap > 1) & (gap < m - 1)
         i, j = i[keep], j[keep]
-        ax, ay, bx, by = x[i], y[i], x2[i], y2[i]
-        cx, cy, dx, dy = x[j], y[j], x2[j], y2[j]
-        d1 = cross(cx - ax, cy - ay, bx - ax, by - ay)
-        d2 = cross(dx - ax, dy - ay, bx - ax, by - ay)
-        d3 = cross(ax - cx, ay - cy, dx - cx, dy - cy)
-        d4 = cross(bx - cx, by - cy, dx - cx, dy - cy)
-        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
-            return False
+        ends = (x[i], y[i], x2[i], y2[i], x[j], y[j], x2[j], y2[j])
+        for k in np.flatnonzero(_crosses(*ends)):
+            if _crosses(*(Fraction(v[k]) for v in ends)):
+                return False
         start = stop
     return True
 

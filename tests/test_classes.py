@@ -7,7 +7,6 @@ from scipy.special import spence
 from harmap.catalog import CatalogTag, make
 from harmap import classes
 from harmap.classes import (
-    GRID_CLASSES,
     ClassId,
     ClassName,
     SingularReferenceError,
@@ -18,7 +17,7 @@ from harmap.classes import (
     membership,
     sample_member,
 )
-from harmap.geometry import SamplingGrid, univalent_on_circle
+from harmap.geometry import univalent_on_circle
 from harmap.harmonic import HarmonicMap, analytic_map, harmonic_convolve, slice_map
 from harmap.series import AnalyticSeries
 
@@ -80,21 +79,66 @@ class TestMembership:
             ClassId(ClassName.R_H0_G)
 
     def test_singular_reference(self):
-        # G' = 1 - 5z vanishes at z = 0.2, a grid point
-        ref = AnalyticSeries([1.0, -2.5])
-        cid = ClassId(ClassName.R_H0_G, reference_map=ref)
-        grid = SamplingGrid(radii=(0.2,), angles=64)
-        with pytest.raises(SingularReferenceError):
-            membership(quad_conj_map(), cid, grid)
+        # G' = 1 - 5z vanishes at z = 0.2, inside the certifying circle |z| = 0.75
+        for name in (ClassName.R_H0_G, ClassName.F_H0_G):
+            cid = ClassId(name, reference_map=AnalyticSeries([1.0, -2.5]))
+            with pytest.raises(SingularReferenceError, match="on or inside"):
+                membership(quad_conj_map(), cid)
+
+    @pytest.mark.parametrize("name", [ClassName.R_H0_G, ClassName.F_H0_G])
+    def test_reference_zero_between_grid_points(self, name):
+        # G' = 1 - z/z0 vanishes at z0, off every circle and angle of a
+        # polar grid; only the winding of G' about 0 along |z| = 0.75 sees it
+        z0 = 0.45 * np.exp(0.3j)
+        cid = ClassId(name, reference_map=AnalyticSeries([1.0, -0.5 / z0]))
+        assert np.min(np.abs(cid.reference_map.derivative().evaluate(classes.G_VARIANT_GRID.points()))) > 0.5
+        for f in (quad_conj_map(), sample_member(cid, 3)):
+            with pytest.raises(SingularReferenceError):
+                membership(f, cid)
 
     def test_relative_class_reduces_to_plain_for_identity_reference(self):
         ref = AnalyticSeries(np.eye(1, 8, 0).ravel())  # G(z) = z
         cid = ClassId(ClassName.R_H0_G, reference_map=ref)
-        grid = SamplingGrid(radii=(0.3, 0.6, 0.9), angles=128)
-        plain = membership(quad_conj_map(), ClassId(ClassName.R_H0), grid)
-        relative = membership(quad_conj_map(8), cid, grid)
+        z = classes.G_VARIANT_GRID.points()
+        plain = classes._grid_slack(quad_conj_map(), ClassId(ClassName.R_H0), z)
+        relative = membership(quad_conj_map(8), cid)
         assert relative.is_member
-        assert relative.margin == pytest.approx(plain.margin, abs=1e-12)
+        assert relative.margin == pytest.approx(plain.min(), abs=1e-12)
+        assert relative.margin == pytest.approx(0.25, abs=1e-12)
+
+
+#: polar grids of the closed disks of DEFAULT_GRID and G_VARIANT_GRID, 11 and 8 circles
+POLAR_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
+RELATIVE_POLAR_RADII = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.75)
+
+
+class TestMinimumPrinciple:
+    """The margin on the certifying circle equals the minimum over a polar grid of the disk, bit for bit."""
+
+    @staticmethod
+    def polar_minimum(f, cid, radii):
+        grid = classes._certifying_grid(cid)
+        z = np.concatenate([grid.circle(r) for r in radii])
+        return float(np.min(classes._grid_slack(f, cid, z)))
+
+    @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0])
+    def test_sampled_members(self, name):
+        cid = ClassId(name)
+        for seed in range(40):
+            f = sample_member(cid, seed, 64)
+            assert membership(f, cid).margin == self.polar_minimum(f, cid, POLAR_RADII)
+
+    @pytest.mark.parametrize("name", [ClassName.R_H0_G, ClassName.F_H0_G])
+    def test_sampled_relative_members(self, name):
+        # the four reference maps of the T4.7/T4.8 suites
+        n = np.arange(2, 201)
+        re_half = np.concatenate(([1.0], 0.45 * 0.5 ** (n - 1) / n))
+        refs = [make(tag, 200).h for tag in (CatalogTag.KOEBE, CatalogTag.HALF_PLANE, CatalogTag.MACGREGOR_R)]
+        for ref in refs + [AnalyticSeries(re_half)]:
+            cid = ClassId(name, reference_map=ref)
+            for seed in range(8):
+                f = sample_member(cid, seed, 200)
+                assert membership(f, cid).margin == self.polar_minimum(f, cid, RELATIVE_POLAR_RADII)
 
 
 class TestEpsilonSweep:
@@ -237,48 +281,44 @@ class TestSampling:
 
     @pytest.mark.parametrize("name", list(ClassName))
     def test_memoised_draws_equal_fresh_draws(self, name):
+        # a draw repeated among other draws, as a verify run repeats it,
+        # equals its first draw bit for bit
         ref = make(CatalogTag.KOEBE, 64).h if name in (ClassName.R_H0_G, ClassName.F_H0_G) else None
         cid = ClassId(name, reference_map=ref)
-        memo = {}
+        first = {}
         for seed in (0, 3, 0, 3, 11):
             for order in (2, 64):
-                fresh = sample_member(cid, seed, order)
-                drawn = sample_member(cid, seed, order, memo=memo)
+                drawn = sample_member(cid, seed, order)
+                fresh = first.setdefault((seed, order), drawn)
                 assert drawn.h.coeffs.tobytes() == fresh.h.coeffs.tobytes()
                 assert drawn.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
-        # derivative classes keep one scale per distinct draw; the rest nothing
-        assert len(memo) == (6 if name in GRID_CLASSES else 0)
-        assert all(isinstance(s, float) for s in memo.values())
+        assert len(first) == 6
 
-    def test_memo_hit_skips_the_grid_evaluation(self, monkeypatch):
-        calls = []
+    def test_each_draw_evaluates_one_circle(self, monkeypatch):
+        grids = []
         grid_scale = classes._grid_scale
 
-        def counted(*args):
-            calls.append(args)
-            return grid_scale(*args)
+        def counted(name, grid, *args):
+            grids.append(grid)
+            return grid_scale(name, grid, *args)
 
         monkeypatch.setattr(classes, "_grid_scale", counted)
-        cid = ClassId(ClassName.W_H0)
-        memo = {}
         for _ in range(3):
-            sample_member(cid, 5, memo=memo)
-        assert len(calls) == 1
-        sample_member(cid, 5, 32, memo=memo)  # another order is another draw
-        assert len(calls) == 2
+            sample_member(ClassId(ClassName.W_H0), 5)
+        sample_member(ClassId(ClassName.F_H0_G, reference_map=make(CatalogTag.KOEBE, 64).h), 5)
+        sample_member(ClassId(ClassName.U_H0), 5)  # a coefficient class evaluates nothing
+        assert grids == [classes.DEFAULT_GRID] * 3 + [classes.G_VARIANT_GRID]
+        assert all(grid.points().shape == (256,) for grid in grids)
 
-    def test_memo_shares_one_entry_across_references(self):
-        # the scale depends on the reference only through the grid, which is
-        # the same for every reference: two distinct references share a key
-        memo = {}
-        refs = [make(CatalogTag.HALF_PLANE, 64).h, make(CatalogTag.KOEBE, 64).h]
-        for ref in refs:
-            cid = ClassId(ClassName.F_H0_G, reference_map=ref)
-            drawn = sample_member(cid, 1, memo=memo)
-            fresh = sample_member(cid, 1)
-            assert drawn.h.coeffs.tobytes() == fresh.h.coeffs.tobytes()
-            assert drawn.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
-        assert list(memo) == [(ClassName.F_H0_G, 1, 64)]
+    def test_scale_does_not_depend_on_the_reference(self):
+        # h'/G' = 1 + s*q at every point, with q and s drawn without the reference
+        z = 0.5 * np.exp(2j * np.pi * np.arange(64) / 64)
+        ratios = []
+        for tag in (CatalogTag.HALF_PLANE, CatalogTag.KOEBE):
+            ref = make(tag, 64).h
+            f = sample_member(ClassId(ClassName.F_H0_G, reference_map=ref), 1)
+            ratios.append(f.h.derivative().evaluate(z) / ref.derivative().evaluate(z))
+        np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-12)
 
     def test_growth_envelope_respected_by_R_samples(self):
         cid = ClassId(ClassName.R_H0)

@@ -53,6 +53,16 @@ class TestExitCodes:
         assert captured.err.startswith("input error: --ref-map applies only to the _G classes")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("cls", ["R_H0_G", "F_H0_G"])
+    def test_singular_reference_is_an_input_error(self, cls, tmp_path, capsys):
+        # G' = 1 - 5z vanishes at z = 0.2, inside the certifying circle
+        ref = _write(tmp_path / "ref.json", '{"order": 2, "h": [[1, 0], [-2.5, 0]]}')
+        argv = ["classify", "--class", cls, "--ref-map", ref, "--input", "koebe", "--order", "16"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: reference derivative vanishes on or inside")
+        assert captured.out == ""
+
     def test_member_and_non_member(self, tmp_path, capsys):
         inside = _write(tmp_path / "inside.json", dump_map(make(CatalogTag.U_SHARP_CONJ, 8)))
         assert main(["classify", "--class", "U_H0", "--input", inside]) == 0

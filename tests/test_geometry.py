@@ -24,6 +24,7 @@ from harmap.geometry import (
     starlike_margin,
     starlike_margins,
     _circle,
+    _crosses,
     _polygon_is_simple,
     _refine_minimum,
     _unit_circle,
@@ -314,8 +315,27 @@ class TestUnivalence:
         assert not univalent_on_circle(f, 0.9, 512)
 
 
+def exact_side(p, q, r):
+    """(q - p) x (r - p) in exact rational arithmetic on the float coordinates."""
+    (px, py), (qx, qy), (rx, ry) = ((Fraction(z.real), Fraction(z.imag)) for z in (p, q, r))
+    return (qx - px) * (ry - py) - (qy - py) * (rx - px)
+
+
+def exact_crossing(a, b, c, d):
+    """Segments ab and cd cross strictly, in exact arithmetic."""
+    return exact_side(a, b, c) * exact_side(a, b, d) < 0 and exact_side(c, d, a) * exact_side(c, d, b) < 0
+
+
+def float_crossing(a, b, c, d):
+    return bool(_crosses(*(v for z in (a, b, c, d) for v in (z.real, z.imag))))
+
+
 def pairwise_is_simple(w):
-    """Reference: the strict sign test on every non-adjacent segment pair, one segment at a time."""
+    """Reference: the strict sign test on every non-adjacent segment pair, one segment at a time.
+
+    A pair that the float test flags counts only if it crosses in exact
+    arithmetic too.
+    """
     m = w.size
     x, y = w.real, w.imag
     x2, y2 = np.roll(x, -1), np.roll(y, -1)
@@ -337,7 +357,8 @@ def pairwise_is_simple(w):
         d2 = cross(dxv - axv, dyv - ayv, bxv - axv, byv - ayv)
         d3 = cross(axv - cxv, ayv - cyv, dxv - cxv, dyv - cyv)
         d4 = cross(bxv - cxv, byv - cyv, dxv - cxv, dyv - cyv)
-        if np.any((d1 * d2 < 0) & (d3 * d4 < 0)):
+        flagged = js[(d1 * d2 < 0) & (d3 * d4 < 0)]
+        if any(exact_crossing(w[i], w[i + 1], w[j], w[(j + 1) % m]) for j in flagged):
             return False
     return True
 
@@ -391,15 +412,32 @@ class TestPolygonTest:
         # whose boxes are disjoint, into a crossing; the sweep never tests them
         t = np.array([-8.0, 5.0, 5.5, 6.75])
         w = t + 1j * (t * (1 / 3))
-
-        def side(a, b, c):
-            a, b, c = ((Fraction(p.real), Fraction(p.imag)) for p in (a, b, c))
-            return (c[0] - a[0]) * (b[1] - a[1]) - (c[1] - a[1]) * (b[0] - a[0])
-
         a, b, c, d = w
-        assert not (side(a, b, c) * side(a, b, d) < 0 and side(c, d, a) * side(c, d, b) < 0)
-        assert not pairwise_is_simple(w)
+        assert not exact_crossing(a, b, c, d)
+        assert float_crossing(a, b, c, d)
         assert _polygon_is_simple(w)
+
+    def test_rounded_crossing_of_overlapping_pair_is_retested_exactly(self):
+        # w = t + i*pi*t with t sorted as (a, c, b, d) and joined in the
+        # order a, b, c, d: segments (b, c) and (d, a) overlap along the
+        # line, and the float sign test rounds them into a crossing
+        hexes = ("-0x1.2086678b7376cp+1", "0x1.5fcc36841f728p+1", "0x1.2a6361f7f60e0p+0", "0x1.c1f6f364a8c0cp+1")
+        t = np.array([float.fromhex(h) for h in hexes])
+        a, c, b, d = np.sort(t)
+        v = np.array([a, b, c, d])
+        w = v + 1j * np.pi * v
+        assert float_crossing(w[1], w[2], w[3], w[0])
+        assert not exact_crossing(w[1], w[2], w[3], w[0]) and not exact_crossing(*w)
+        assert _polygon_is_simple(w)
+        # off the line by rounding, such polygons can cross for real; a
+        # reported crossing is always an exact one
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            a, c, b, d = np.sort(rng.uniform(-10, 10, 4))
+            v = np.array([a, b, c, d])
+            w = v + 1j * np.pi * v
+            if not _polygon_is_simple(w):
+                assert exact_crossing(*w) or exact_crossing(w[1], w[2], w[3], w[0])
 
     @given(
         m=st.integers(3, 400),
@@ -596,18 +634,17 @@ class TestRootFinding:
 
 class TestSamplingGrid:
     def test_validation(self):
+        for radius in (0.0, -0.5, 1.0, 1.5):
+            with pytest.raises(ValueError):
+                SamplingGrid(radius=radius, angles=128)
         with pytest.raises(ValueError):
-            SamplingGrid(radii=(), angles=128)
-        with pytest.raises(ValueError):
-            SamplingGrid(radii=(0.5, 0.4), angles=128)
-        with pytest.raises(ValueError):
-            SamplingGrid(radii=(0.5, 1.0), angles=128)
-        with pytest.raises(ValueError):
-            SamplingGrid(radii=(0.5,), angles=32)
+            SamplingGrid(radius=0.5, angles=32)
+        assert SamplingGrid(radius=1 / 2, angles=64).radius == 0.5
 
     def test_points_layout(self):
-        grid = SamplingGrid(radii=(0.25, 0.5), angles=64)
+        grid = SamplingGrid(radius=0.25, angles=64)
         pts = grid.points()
-        assert pts.shape == (128,)
+        assert pts.shape == (64,)
         assert pts[0] == pytest.approx(0.25)
-        assert pts[64] == pytest.approx(0.5)
+        assert pts[16] == pytest.approx(0.25j)
+        assert pts.tobytes() == _circle(0.25, 64)[1].tobytes()

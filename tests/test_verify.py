@@ -37,19 +37,17 @@ class TestDraws:
             fresh = sample_member(cid, seed, order)
             assert f.h.coeffs.tobytes() == fresh.h.coeffs.tobytes()
             assert f.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
-        assert sorted(rec.memo) == [(ClassName.R_H0, s, o) for s, o in sorted(seeds_orders)]
 
-    def test_relative_suite_keeps_one_scale_per_member_for_all_references(self, tmp_path, monkeypatch):
+    def test_relative_suite_twice_gives_identical_lines(self, tmp_path, monkeypatch):
         # T4.7 draws the same seeds under three reference maps
         monkeypatch.setattr(verify, "RADIUS_MEMBERS", 4)
-        memo = {}
-        report = run_suite("T4.7", 42, tmp_path, memo=memo)
-        assert report.passed
-        assert sorted(memo) == [(ClassName.R_H0_G, 42 + k, 200) for k in range(4)]
+        first, second = (run_suite("T4.7", 42, tmp_path) for _ in range(2))
+        assert first.passed
+        assert first.lines() == second.lines()
 
 
 class TestRunSuite:
-    @pytest.mark.parametrize("suite_id", ["T3.10", "T2.16", "FIG1", "FIG2"])
+    @pytest.mark.parametrize("suite_id", ["T2.12", "T3.10", "T2.16", "FIG1", "FIG2"])
     def test_repeatable_and_passing(self, suite_id, tmp_path):
         runs = []
         for name in ("a", "b"):
@@ -67,16 +65,6 @@ class TestRunSuite:
         assert (tmp_path / "a" / svg).read_bytes() == (tmp_path / "b" / svg).read_bytes()
         assert (tmp_path / "a" / svg).read_bytes().startswith(b"<?xml")
 
-    def test_shared_memo_leaves_lines_unchanged(self, tmp_path):
-        # T2.11 draws the R_H0 members that T2.12 draws again
-        memo = {}
-        run_suite("T2.11", 42, tmp_path, memo=memo)
-        assert memo
-        shared = run_suite("T2.12", 42, tmp_path, memo=memo)
-        alone = run_suite("T2.12", 42, tmp_path)
-        assert shared.lines() == alone.lines()
-        assert shared.passed
-
     def test_envelope_suite_passes(self, monkeypatch):
         # T2.6 evaluates its three circles at once and checks each slice
         # against that radius's envelope
@@ -85,23 +73,18 @@ class TestRunSuite:
         assert report.passed
         assert report.lines()[-1].endswith("measured=0 | tol=0 | PASS")
 
-    def test_run_all_shares_one_memo_per_run(self, monkeypatch):
+    def test_run_all_calls_the_module_run_suite(self, monkeypatch):
+        # the benchmark times each suite by replacing verify.run_suite
         calls = []
 
-        def fake_suite(suite_id, seed, out_dir, memo):
-            calls.append((suite_id, memo))
+        def fake_suite(suite_id, seed, out_dir):
+            calls.append((suite_id, seed, out_dir))
             return SuiteReport(suite_id, seed)
 
         monkeypatch.setattr(verify, "run_suite", fake_suite)
-        verify.run_all(7)
-        verify.run_all(7)
-        ids = [suite_id for suite_id, _ in calls]
-        assert ids == list(suite_ids()) * 2
-        memos = [memo for _, memo in calls]
-        half = len(suite_ids())
-        assert all(memo is memos[0] for memo in memos[:half])
-        assert all(memo is memos[half] for memo in memos[half:])
-        assert memos[0] is not memos[half] and memos[0] == {}
+        reports = verify.run_all(7, "OUT")
+        assert calls == [(suite_id, 7, "OUT") for suite_id in suite_ids()]
+        assert [r.suite_id for r in reports] == list(suite_ids())
 
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
