@@ -5,7 +5,7 @@ certificates, convolution and integral operators, circle-image geometry,
 SVG rendering, and a reproducible verification harness.
 """
 
-from .catalog import CatalogTag, all_tags, eval_closed, make
+from .catalog import CatalogTag, eval_closed, make
 from .classes import (
     BoundCheckReport,
     BoundTable,
@@ -15,7 +15,6 @@ from .classes import (
     SingularReferenceError,
     bound_table,
     coefficient_bound_check,
-    epsilon_sweep_membership,
     growth_envelope,
     membership,
     sample_member,
@@ -37,13 +36,11 @@ from .geometry import (
 )
 from .harmonic import (
     HarmonicMap,
-    SliceParam,
     alexander_minus,
     alexander_plus,
     analytic_map,
     convex_combination,
     eval_map,
-    eval_map_series,
     harmonic_convolve,
     jacobian,
     slice_map,
@@ -55,7 +52,6 @@ from .series import (
     AnalyticSeries,
     DomainError,
     alexander,
-    convolution_identity,
     convolve,
     identity_series,
     linear_combine,

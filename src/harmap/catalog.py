@@ -149,7 +149,3 @@ def eval_closed(tag, z):
         raise DomainError("closed-form evaluation requires |z| < 1")
     out = np.asarray(_CLOSED_FORMS[tag](zz), dtype=np.complex128)
     return complex(out) if out.ndim == 0 else out
-
-
-def all_tags() -> tuple[CatalogTag, ...]:
-    return tuple(CatalogTag)

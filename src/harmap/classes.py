@@ -1,8 +1,11 @@
 """Membership certificates, coefficient bounds, growth envelopes, samplers.
 
-Two kinds of classes appear.  Grid classes are defined by a strict
-pointwise inequality on derivatives over the disk.  Their slack is
-superharmonic, so it is checked on one circle, the boundary of the
+Two kinds of classes appear.  A grid class is defined by one strict
+pointwise inequality over the disk on its defining pair (u, v) of
+analytic functions: Re u > |v| (R_H0, W_H0, R_H0_G) or
+|u - 1| + |v| < 1 (F_H0, F_H0_G).  The pair is (h', g'), for W_H0
+((z h')', (z g')'), and for the _G classes (h'/G', g'/G').  The slack
+is superharmonic, so it is checked on one circle, the boundary of the
 closed disk it certifies, with a positive-margin tolerance.
 Coefficient classes are defined by an exact weighted coefficient sum
 and are checked without discretization.
@@ -19,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .geometry import DEFAULT_GRID, SamplingGrid, _winding_number
-from .harmonic import HarmonicMap, slice_map
+from .harmonic import HarmonicMap
 from .series import AnalyticSeries
 
 #: positive-margin tolerance certifying a strict inequality on a closed grid
@@ -101,28 +104,31 @@ def _certifying_grid(c: ClassId) -> SamplingGrid:
 
 
 def _grid_slack(f: HarmonicMap, c: ClassId, z: np.ndarray) -> np.ndarray:
-    hp_s = f.h.derivative()
-    gp_s = f.g.derivative()
-    name = c.name
-    if name is ClassName.R_H0:
-        return np.real(hp_s.evaluate(z)) - np.abs(gp_s.evaluate(z))
-    if name is ClassName.W_H0:
-        hval = hp_s.evaluate(z) + z * hp_s.derivative().evaluate(z)
-        gval = gp_s.evaluate(z) + z * gp_s.derivative().evaluate(z)
-        return np.real(hval) - np.abs(gval)
-    if name is ClassName.F_H0:
-        return 1.0 - np.abs(hp_s.evaluate(z) - 1.0) - np.abs(gp_s.evaluate(z))
-    gref = c.reference_map.derivative().evaluate(z)
-    # a zero inside makes G' wind about 0 along the circle (argument principle)
-    if np.min(np.abs(gref)) < 1e-12 or abs(_winding_number(gref, 0.0)) > 0.5:
-        raise SingularReferenceError("reference derivative vanishes on or inside the certifying circle")
-    hq = hp_s.evaluate(z) / gref
-    gq = gp_s.evaluate(z) / gref
-    if name is ClassName.R_H0_G:
-        return np.real(hq) - np.abs(gq)
-    if name is ClassName.F_H0_G:
-        return 1.0 - np.abs(hq - 1.0) - np.abs(gq)
-    raise AssertionError(name)
+    """The slack of the class's defining pair (u, v) at the points z."""
+    hp, gp = f.h.derivative(), f.g.derivative()
+    if c.name is ClassName.W_H0:
+        # (z h')' and (z g')' have coefficients n^2 a_n: n times those of h', g'
+        n = np.arange(2, f.order + 1)
+        hp, gp = (AnalyticSeries(n * s.coeffs, const=s.const) for s in (hp, gp))
+    u, v = hp.evaluate(z), gp.evaluate(z)
+    if c.reference_map is not None:
+        gref = c.reference_map.derivative().evaluate(z)
+        # a zero inside makes G' wind about 0 along the circle (argument principle)
+        if np.min(np.abs(gref)) < 1e-12 or abs(_winding_number(gref, 0.0)) > 0.5:
+            raise SingularReferenceError("reference derivative vanishes on or inside the certifying circle")
+        u, v = u / gref, v / gref
+    if c.name in (ClassName.F_H0, ClassName.F_H0_G):
+        return 1.0 - np.abs(u - 1.0) - np.abs(v)
+    return np.real(u) - np.abs(v)
+
+
+def _result(margin: float, witness: complex | int, floor: float) -> MembershipResult:
+    """Member above ``STRICTNESS_TOL``, boundary down to ``floor``, rejected below."""
+    if margin > STRICTNESS_TOL:
+        return MembershipResult(True, margin, witness, "member")
+    if margin >= floor:
+        return MembershipResult(True, margin, witness, "boundary")
+    return MembershipResult(False, margin, witness, "rejected")
 
 
 def membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
@@ -144,44 +150,19 @@ def membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
         z = _certifying_grid(c).points()
         slack = _grid_slack(f, c, z)
         k = int(np.argmin(slack))
-        margin = float(slack[k])
-        witness: complex | int = complex(z[k])
-        if margin > STRICTNESS_TOL:
-            return MembershipResult(True, margin, witness, "member")
-        if margin >= 0.0:
-            return MembershipResult(True, margin, witness, "boundary")
-        return MembershipResult(False, margin, witness, "rejected")
+        return _result(float(slack[k]), complex(z[k]), 0.0)
 
-    n = np.arange(2, f.order + 1)
-    a = f.h.coeffs[1:]
-    b = f.g.coeffs[1:]
     if c.name is ClassName.S_R:
         deviation = np.maximum(np.abs(np.imag(f.h.coeffs)), np.abs(f.g.coeffs))
         k = int(np.argmax(deviation))
         margin = -float(deviation[k])
         status = "member" if margin == 0.0 else ("boundary" if margin >= -EXACT_TOL else "rejected")
         return MembershipResult(margin >= -EXACT_TOL, margin, k + 1, status)
+    n = np.arange(2, f.order + 1)
     weight = n if c.name is ClassName.U_H0 else n**2
-    contributions = weight * (np.abs(a) + np.abs(b))
-    margin = float(1.0 - contributions.sum())
+    contributions = weight * (np.abs(f.h.coeffs[1:]) + np.abs(f.g.coeffs[1:]))
     witness = int(n[np.argmax(contributions)]) if n.size else 2
-    if margin > STRICTNESS_TOL:
-        return MembershipResult(True, margin, witness, "member")
-    if margin >= -EXACT_TOL:
-        return MembershipResult(True, margin, witness, "boundary")
-    return MembershipResult(False, margin, witness, "rejected")
-
-
-def epsilon_sweep_membership(f: HarmonicMap, analytic_test, m: int = 64) -> bool:
-    """Necessary-condition sampler over slices h + eps*g at m roots of unity.
-
-    Sound for rejection; acceptance is approximate (only m slice
-    directions are inspected).
-    """
-    if m < 8:
-        raise ValueError("sweep needs at least 8 slice directions")
-    eps = np.exp(2j * np.pi * np.arange(m) / m)
-    return all(analytic_test(slice_map(f, e)) for e in eps)
+    return _result(float(1.0 - contributions.sum()), witness, -EXACT_TOL)
 
 
 def _lower_R(r: float) -> float:

@@ -17,19 +17,6 @@ from .series import AnalyticSeries, DomainError, alexander, convolve, linear_com
 SLICE_MODULUS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SliceParam:
-    """Slice multiplier eps with |eps| <= 1."""
-
-    epsilon: complex
-
-    def __post_init__(self) -> None:
-        eps = complex(self.epsilon)
-        if abs(eps) > 1.0 + SLICE_MODULUS_TOL:
-            raise ValueError(f"slice parameter must satisfy |eps| <= 1, got |{eps}|")
-        object.__setattr__(self, "epsilon", eps)
-
-
 @dataclass(frozen=True, eq=False)
 class HarmonicMap:
     """Pair (h, g) of equally truncated series representing h + conj(g).
@@ -73,17 +60,12 @@ def eval_map(f: HarmonicMap, z):
 
     When the map carries a closed-form tag the exact evaluator is used
     instead of the truncated series (the two are required to agree; see
-    the catalog tests); :func:`eval_map_series` always sums the series.
+    the catalog tests).  Without a tag the series are summed.
     """
     if f.closed_form is not None:
         from .catalog import eval_closed
 
         return eval_closed(f.closed_form, z)
-    return eval_map_series(f, z)
-
-
-def eval_map_series(f: HarmonicMap, z):
-    """Series-only evaluation of h(z) + conj(g(z))."""
     return f.h.evaluate(z) + np.conj(f.g.evaluate(z))
 
 
@@ -99,9 +81,11 @@ def jacobian(f: HarmonicMap, z):
 
 
 def slice_map(f: HarmonicMap, eps) -> AnalyticSeries:
-    """The analytic slice h + eps*g, coefficientwise."""
-    e = eps.epsilon if isinstance(eps, SliceParam) else SliceParam(eps).epsilon
-    return linear_combine([(1.0, f.h), (e, f.g)])
+    """The analytic slice h + eps*g, coefficientwise, for |eps| <= 1."""
+    eps = complex(eps)
+    if abs(eps) > 1.0 + SLICE_MODULUS_TOL:
+        raise ValueError(f"slice parameter must satisfy |eps| <= 1, got |{eps}|")
+    return linear_combine([(1.0, f.h), (eps, f.g)])
 
 
 def harmonic_convolve(f: HarmonicMap, F: HarmonicMap) -> HarmonicMap:

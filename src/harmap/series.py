@@ -114,11 +114,6 @@ def identity_series(order: int = DEFAULT_ORDER) -> AnalyticSeries:
     return AnalyticSeries(c)
 
 
-def convolution_identity(order: int = DEFAULT_ORDER) -> AnalyticSeries:
-    """All-ones coefficients: the identity for the Hadamard product."""
-    return AnalyticSeries(np.ones(order, dtype=np.complex128))
-
-
 def convolve(s: AnalyticSeries, t: AnalyticSeries) -> AnalyticSeries:
     """Hadamard product: coefficientwise c_n = s_n * t_n.
 

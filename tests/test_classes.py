@@ -12,12 +12,10 @@ from harmap.classes import (
     SingularReferenceError,
     bound_table,
     coefficient_bound_check,
-    epsilon_sweep_membership,
     growth_envelope,
     membership,
     sample_member,
 )
-from harmap.geometry import univalent_on_circle
 from harmap.harmonic import HarmonicMap, analytic_map, harmonic_convolve, slice_map
 from harmap.series import AnalyticSeries
 
@@ -58,6 +56,14 @@ class TestMembership:
     def test_W_class_extremal(self):
         res = membership(make(CatalogTag.CHICHRA_W, 2048), ClassId(ClassName.W_H0))
         assert res.is_member
+
+    def test_W_class_order_two(self):
+        # (z h')' = 1 + 0.4z and (z g')' = 0.2z: slack 1 - 4 (0.1 + 0.05) 0.99 at z = -0.99
+        f = HarmonicMap(AnalyticSeries([1.0, 0.1]), AnalyticSeries([0.0, 0.05]))
+        res = membership(f, ClassId(ClassName.W_H0))
+        assert res.status == "member"
+        assert res.margin == pytest.approx(1 - 4 * (0.1 + 0.05) * 0.99, abs=1e-12)
+        assert res.witness == pytest.approx(-0.99)
 
     def test_S_R_semantics(self):
         assert membership(make(CatalogTag.KOEBE, 8), ClassId(ClassName.S_R)).is_member
@@ -141,37 +147,24 @@ class TestMinimumPrinciple:
                 assert membership(f, cid).margin == self.polar_minimum(f, cid, RELATIVE_POLAR_RADII)
 
 
-class TestEpsilonSweep:
-    def test_zero_g_reduces_to_h_test(self):
-        calls = []
+class TestDefiningPair:
+    """The W_H0 pair ((z h')', (z g')') against h' + z h'' and g' + z g'' summed as four series."""
 
-        def probe(s):
-            calls.append(s)
-            return True
+    @staticmethod
+    def four_series_slack(f, z):
+        hp, gp = f.h.derivative(), f.g.derivative()
+        hval = hp.evaluate(z) + z * hp.derivative().evaluate(z)
+        gval = gp.evaluate(z) + z * gp.derivative().evaluate(z)
+        return np.real(hval) - np.abs(gval)
 
-        f = analytic_map(make(CatalogTag.MACGREGOR_R, 16).h)
-        assert epsilon_sweep_membership(f, probe, 16)
-        assert len(calls) == 16
-        first = calls[0].coeffs
-        for s in calls[1:]:
-            np.testing.assert_array_equal(s.coeffs, first)
-
-    def test_harmonic_koebe_fails_univalence_sweep(self):
-        # the unit-slice direction collapses two points, so a univalence
-        # probe on r = 0.95 must reject the sweep
-        K = make(CatalogTag.HARMONIC_KOEBE, 3000)
-        probe = lambda s: univalent_on_circle(analytic_map(s), 0.95, 1024)
-        assert not epsilon_sweep_membership(K, probe, 8)
-
-    def test_quad_conj_passes_derivative_sweep(self):
-        f = quad_conj_map()
-        zs = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
-        probe = lambda s: bool(np.all(np.real(s.derivative().evaluate(zs)) > 0))
-        assert epsilon_sweep_membership(f, probe, 16)
-
-    def test_minimum_direction_count(self):
-        with pytest.raises(ValueError):
-            epsilon_sweep_membership(quad_conj_map(), lambda s: True, 4)
+    def test_W_pair_matches_four_series(self):
+        cid = ClassId(ClassName.W_H0)
+        z = classes.DEFAULT_GRID.points()
+        maps = [sample_member(cid, seed) for seed in range(40)] + [make(CatalogTag.CHICHRA_W, 2048)]
+        for f in maps:
+            reference = self.four_series_slack(f, z)
+            gap = np.max(np.abs(classes._grid_slack(f, cid, z) - reference))
+            assert gap <= 1e-13 * np.max(np.abs(reference))
 
 
 class TestCoefficientBounds:

@@ -70,6 +70,11 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "member=True" in out and "member=False" in out
 
+    def test_W_class_on_an_order_two_map(self, tmp_path, capsys):
+        path = _write(tmp_path / "map.json", '{"order": 2, "h": [[1, 0], [0.1, 0]]}')
+        assert main(["classify", "--class", "W_H0", "--input", path]) == 0
+        assert "status=member" in capsys.readouterr().out
+
     @pytest.mark.parametrize("order", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",

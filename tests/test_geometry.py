@@ -309,6 +309,11 @@ class TestUnivalence:
         sliced = analytic_map(slice_map(K, 1.0))
         assert not univalent_on_circle(sliced, 0.99)
 
+    def test_collapsed_slice_rejected_inside(self):
+        # the unit slice collapses two points, so the circle r = 0.95 fails too
+        K = make(CatalogTag.HARMONIC_KOEBE, 3000)
+        assert not univalent_on_circle(analytic_map(slice_map(K, 1.0)), 0.95, 1024)
+
     def test_folded_map_rejected(self):
         # h = z + 2 z^2 folds the circle r = 0.9 (derivative vanishes inside)
         f = analytic_map(AnalyticSeries([1.0, 2.0]))

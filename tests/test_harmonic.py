@@ -1,16 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from harmap.catalog import CatalogTag, eval_closed, make
 from harmap.harmonic import (
     HarmonicMap,
-    SliceParam,
     alexander_minus,
     alexander_plus,
     analytic_map,
     convex_combination,
     eval_map,
-    eval_map_series,
     harmonic_convolve,
     jacobian,
     slice_map,
@@ -48,7 +48,7 @@ class TestEvalMap:
         # oracle: (0.5 - 0.125)/0.25 + conj(-0.125/0.25) = 1.5 - 0.5
         L = make(CatalogTag.HARMONIC_HALF_PLANE, 64)
         assert eval_map(L, 0.5) == pytest.approx(1.0)
-        assert eval_map_series(L, 0.5) == pytest.approx(1.0, abs=1e-9)
+        assert eval_map(dataclasses.replace(L, closed_form=None), 0.5) == pytest.approx(1.0, abs=1e-9)
 
     def test_origin_goes_to_zero(self):
         K = make(CatalogTag.HARMONIC_KOEBE, 16)
@@ -57,7 +57,7 @@ class TestEvalMap:
     def test_closed_form_preferred_but_consistent(self):
         K = make(CatalogTag.HARMONIC_KOEBE, 200)
         z = 0.7 * np.exp(0.4j)
-        assert abs(eval_map(K, z) - eval_map_series(K, z)) < 1e-6
+        assert abs(eval_map(K, z) - eval_map(dataclasses.replace(K, closed_form=None), z)) < 1e-6
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -129,9 +129,10 @@ class TestSlice:
             assert abs(s.evaluate(z) - expected) < 1e-10
 
     def test_slice_param_validation(self):
-        with pytest.raises(ValueError):
-            SliceParam(1.5)
-        assert SliceParam(1.0).epsilon == 1.0
+        K = make(CatalogTag.HARMONIC_KOEBE, 16)
+        with pytest.raises(ValueError, match=r"\|eps\| <= 1"):
+            slice_map(K, 1.5)
+        np.testing.assert_array_equal(slice_map(K, 1.0).coeffs, K.h.coeffs + K.g.coeffs)
 
 
 class TestConvolutionOperators:

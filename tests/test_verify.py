@@ -130,3 +130,14 @@ class TestMembershipWitnesses:
             assert not check.passed
             assert check.measured.startswith(f"{count} (first: h[:4]=")
             assert check.measured.endswith("margin=-2.500e-01)")
+
+    def test_t3_9_rejections_name_the_margin(self, monkeypatch):
+        monkeypatch.setattr(verify, "PAIR_SAMPLES", 3)
+        monkeypatch.setattr(verify, "RADIUS_MEMBERS", 3)
+        monkeypatch.setattr(verify, "membership", lambda f, cid: MembershipResult(False, -0.25, 0, "rejected"))
+        report = run_suite("T3.9")
+        counted = [c for c in report.checks if "lands in" in c.description or "kernel" in c.description]
+        assert len(counted) == 4
+        for check in counted:
+            assert not check.passed
+            assert check.measured.endswith("margin=-2.500e-01)")
