@@ -8,12 +8,10 @@ SVG rendering, and a reproducible verification harness.
 from .catalog import CatalogTag, eval_closed, make
 from .classes import (
     BoundCheckReport,
-    BoundTable,
     ClassId,
     ClassName,
     MembershipResult,
     SingularReferenceError,
-    bound_table,
     coefficient_bound_check,
     growth_envelope,
     membership,
@@ -48,12 +46,10 @@ from .harmonic import (
 )
 from .render import render_image
 from .series import (
-    DEFAULT_ORDER,
     AnalyticSeries,
     DomainError,
     alexander,
     convolve,
-    identity_series,
     linear_combine,
 )
 from .verify import SuiteReport, run_all, run_suite, suite_ids

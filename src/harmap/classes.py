@@ -33,7 +33,7 @@ EXACT_TOL = 1e-12
 
 #: certifying circle of the relative (_G) classes: their reference-map
 #: series converge too slowly for trustworthy evaluation near |z| = 1
-G_VARIANT_GRID = SamplingGrid(radius=0.75, angles=256)
+G_VARIANT_GRID = SamplingGrid(radius=0.75)
 
 
 class ClassName(str, Enum):
@@ -49,7 +49,6 @@ class ClassName(str, Enum):
 
 RELATIVE_CLASSES = {ClassName.R_H0_G, ClassName.F_H0_G}
 GRID_CLASSES = {ClassName.R_H0, ClassName.W_H0, ClassName.F_H0} | RELATIVE_CLASSES
-COEFFICIENT_CLASSES = {ClassName.U_H0, ClassName.V_H0, ClassName.S_R}
 
 
 class SingularReferenceError(ArithmeticError):
@@ -79,16 +78,9 @@ class MembershipResult:
 
 
 @dataclass(frozen=True)
-class BoundTable:
-    class_id: ClassId
-    p: Callable[[int], float]
-
-
-@dataclass(frozen=True)
 class BoundCheckReport:
     """Gap check ||a_n| - |b_n|| <= p(n) for n = 2..n_max."""
 
-    n_max: int
     gaps: np.ndarray  # indexed from n = 2
     bounds: np.ndarray
     violations: tuple[tuple[int, float, float], ...]
@@ -108,7 +100,7 @@ def _grid_slack(f: HarmonicMap, c: ClassId, z: np.ndarray) -> np.ndarray:
     hp, gp = f.h.derivative(), f.g.derivative()
     if c.name is ClassName.W_H0:
         # (z h')' and (z g')' have coefficients n^2 a_n: n times those of h', g'
-        n = np.arange(2, f.order + 1)
+        n = np.arange(2, hp.order + 2)
         hp, gp = (AnalyticSeries(n * s.coeffs, const=s.const) for s in (hp, gp))
     u, v = hp.evaluate(z), gp.evaluate(z)
     if c.reference_map is not None:
@@ -155,13 +147,13 @@ def membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
     if c.name is ClassName.S_R:
         deviation = np.maximum(np.abs(np.imag(f.h.coeffs)), np.abs(f.g.coeffs))
         k = int(np.argmax(deviation))
-        margin = -float(deviation[k])
+        margin = 0.0 - float(deviation[k])  # not -x, which prints a zero as -0
         status = "member" if margin == 0.0 else ("boundary" if margin >= -EXACT_TOL else "rejected")
         return MembershipResult(margin >= -EXACT_TOL, margin, k + 1, status)
     n = np.arange(2, f.order + 1)
     weight = n if c.name is ClassName.U_H0 else n**2
     contributions = weight * (np.abs(f.h.coeffs[1:]) + np.abs(f.g.coeffs[1:]))
-    witness = int(n[np.argmax(contributions)]) if n.size else 2
+    witness = int(n[np.argmax(contributions)]) if n.size else 1
     return _result(float(1.0 - contributions.sum()), witness, -EXACT_TOL)
 
 
@@ -213,34 +205,28 @@ def growth_envelope(c: ClassId, r: float) -> tuple[float, float]:
     r = 1 is allowed and returns the limiting covering constant in the
     lower slot (the upper envelope may be infinite there).
     """
-    name = c.name if isinstance(c, ClassId) else ClassName(c)
-    if name not in _ENVELOPES:
-        raise ValueError(f"no growth envelope for class {name.value}")
+    if c.name not in _ENVELOPES:
+        raise ValueError(f"no growth envelope for class {c.name.value}")
     if not 0.0 < r <= 1.0:
         raise ValueError("radius must lie in (0, 1]")
-    lower, upper = _ENVELOPES[name]
+    lower, upper = _ENVELOPES[c.name]
     return lower(r), upper(r)
 
 
-def bound_table(c: ClassId) -> BoundTable:
-    """Per-class coefficient bound p(n)."""
+def coefficient_bound_check(f: HarmonicMap, c: ClassId, n_max: int) -> BoundCheckReport:
+    """Verify the class's gap bound ||a_n| - |b_n|| <= p(n) for 2 <= n <= n_max."""
     if c.name not in _GAP_BOUNDS:
         raise ValueError(f"no coefficient bound table for class {c.name.value}")
-    return BoundTable(c, _GAP_BOUNDS[c.name])
-
-
-def coefficient_bound_check(f: HarmonicMap, table: BoundTable, n_max: int) -> BoundCheckReport:
-    """Verify ||a_n| - |b_n|| <= p(n) for 2 <= n <= n_max."""
     if n_max > f.order:
         raise ValueError(f"n_max {n_max} exceeds truncation {f.order}")
     ns = np.arange(2, n_max + 1)
     gaps = np.abs(np.abs(f.h.coeffs[1:n_max]) - np.abs(f.g.coeffs[1:n_max]))
-    bounds = np.array([table.p(int(n)) for n in ns])
+    bounds = np.array([_GAP_BOUNDS[c.name](int(n)) for n in ns])
     bad = gaps > bounds + EXACT_TOL
     violations = tuple(
         (int(n), float(g), float(bnd)) for n, g, bnd in zip(ns[bad], gaps[bad], bounds[bad])
     )
-    return BoundCheckReport(n_max, gaps, bounds, violations)
+    return BoundCheckReport(gaps, bounds, violations)
 
 
 def _split_complex(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -312,7 +298,6 @@ def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
     :func:`membership`, given a _G reference whose derivative has no
     zero in the closed disk.
     """
-    c = c if isinstance(c, ClassId) else ClassId(c)
     rng = np.random.default_rng(seed)
     if c.name in (ClassName.U_H0, ClassName.V_H0):
         return _sample_coefficient_class(c, rng, order)

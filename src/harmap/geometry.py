@@ -3,15 +3,15 @@
 Margins quantify how far a circle image is from losing starlikeness or
 convexity: they are the minimum over the circle of the angular derivative
 of arg f (starlike) or of the tangent direction (convex).  An equispaced
-grid of ``angles`` points (``MARGIN_ANGLES`` by default) brackets the
-minimum, and successive parabolic interpolation refines it to a value
-attained at the reported witness angle, so a margin does not depend on
-where the grid falls on the circle.  ``starlike_margins`` and
-``convex_margins`` take several radii and evaluate each series once on
-all their circles.  Positive margins certify the property on that
-circle.  Radius estimation and the polynomial root finder both locate a
-sign change by a scan followed by the one bisection, ``_bisect``.
-A ``SamplingGrid`` is the one circle that a class certificate of
+grid of ``MARGIN_ANGLES`` points brackets the minimum, and successive
+parabolic interpolation refines it to a value attained at the reported
+witness angle, so a margin does not depend on where the grid falls on
+the circle.  ``starlike_margins`` and ``convex_margins`` take several
+radii and evaluate each series once on all their circles.  Positive
+margins certify the property on that circle.  Radius estimation and the
+polynomial root finder both locate a sign change by a scan followed by
+the one bisection, ``_bisect``.  A ``SamplingGrid`` is the one circle,
+of ``GRID_ANGLES`` points, that a class certificate of
 :mod:`harmap.classes` samples.
 """
 
@@ -31,9 +31,10 @@ from .series import AnalyticSeries
 
 DEGENERACY_TOL = 1e-12
 
-#: angle counts used by the verification harness
+#: angle counts of the margins, the univalence test and a certifying circle
 MARGIN_ANGLES = 1024
 UNIVALENCE_ANGLES = 2048
+GRID_ANGLES = 256
 
 #: margin refinement stops once the parabolic step in theta is below this
 ANGLE_TOL = 1e-9
@@ -55,27 +56,24 @@ class RootNotFoundError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """One circle |z| = ``radius`` at an equispaced angle count."""
+    """One circle |z| = ``radius`` at ``GRID_ANGLES`` equispaced angles."""
 
     radius: float
-    angles: int
 
     def __post_init__(self) -> None:
         if not 0.0 < self.radius < 1.0:
             raise ValueError("grid radius must lie strictly inside (0, 1)")
-        if self.angles < 64:
-            raise ValueError("grid needs at least 64 angles")
         object.__setattr__(self, "radius", float(self.radius))
 
     def circle(self, r: float) -> np.ndarray:
-        return _circle(r, self.angles)[1]
+        return _circle(r, GRID_ANGLES)[1]
 
     def points(self) -> np.ndarray:
         """The grid's points, from angle 0 counter-clockwise."""
         return self.circle(self.radius)
 
 
-DEFAULT_GRID = SamplingGrid(radius=0.99, angles=256)
+DEFAULT_GRID = SamplingGrid(radius=0.99)
 
 #: scan radii of radius estimation, 0.05, 0.10, ..., 0.95
 RADIUS_SCAN_RADII = tuple(k / 20 for k in range(1, 20))
@@ -174,28 +172,28 @@ def _refine_minimum(fn, b: float, h: float, fa: float, fb: float, fc: float):
     return angle, value
 
 
-def _circle_minima(functional, series: tuple[AnalyticSeries, ...], radii, angles: int):
+def _circle_minima(functional, series: tuple[AnalyticSeries, ...], radii):
     """Minimum over each circle |z| = r, r in ``radii``, of ``functional(r, z, *values)``.
 
     Each series is evaluated once, on the circles concatenated in order;
     ``functional`` then runs on one circle's slice at a time, so a check
     that raises does so for the first offending radius.  Per circle, the
-    sampled minimum on ``angles`` equispaced points and its two
+    sampled minimum on ``MARGIN_ANGLES`` equispaced points and its two
     neighbours bracket a local minimum, which is then refined.  Returns
     one (value, angle) per radius, the angle in [0, 2*pi).
 
-    The values are bit-identical to evaluating each circle on its own
-    when ``angles`` >= 2: numpy computes each element of an array of two
-    or more points the same way at any length.
+    The values are bit-identical to evaluating each circle on its own:
+    numpy computes each element of an array of two or more points the
+    same way at any length.
     """
     if not radii:
         return []
-    theta = _unit_circle(angles)[0]
-    z = np.concatenate([_circle(r, angles)[1] for r in radii])
+    theta = _unit_circle(MARGIN_ANGLES)[0]
+    z = np.concatenate([_circle(r, MARGIN_ANGLES)[1] for r in radii])
     values = [s.evaluate(z) for s in series]
     minima = []
     for k, r in enumerate(radii):
-        part = slice(k * angles, (k + 1) * angles)
+        part = slice(k * MARGIN_ANGLES, (k + 1) * MARGIN_ANGLES)
         margin = functional(r, z[part], *(v[part] for v in values))
         i = int(np.argmin(margin))
 
@@ -206,10 +204,10 @@ def _circle_minima(functional, series: tuple[AnalyticSeries, ...], radii, angles
         angle, value = _refine_minimum(
             margin_at,
             float(theta[i]),
-            2.0 * np.pi / angles,
+            2.0 * np.pi / MARGIN_ANGLES,
             float(margin[i - 1]),
             float(margin[i]),
-            float(margin[(i + 1) % angles]),
+            float(margin[(i + 1) % MARGIN_ANGLES]),
         )
         minima.append((value, angle % (2.0 * np.pi)))
     return minima
@@ -230,13 +228,13 @@ def _convex_functional(r, z, hp, hpp, gp, gpp):
     return (Tp / T).imag
 
 
-def starlike_margins(f: HarmonicMap, radii, angles: int = MARGIN_ANGLES) -> list[GeometryReport]:
+def starlike_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
     """Minimum over each circle |z| = r, r in ``radii``, of d(arg f)/d(theta).
 
     The derivative equals Re[(z h' - conj(z g')) / f]; a positive minimum
     certifies that the circle image bounds a domain starlike about 0.
-    ``angles`` (default ``MARGIN_ANGLES``) sets the equispaced sampling
-    grid that brackets each minimum.  One report per radius, in order:
+    ``MARGIN_ANGLES`` equispaced points bracket each minimum.  One
+    report per radius, in order:
     ``min_margin`` is the refined minimum over that circle, attained at
     ``witness_angle`` in [0, 2*pi).  The series are evaluated once on all
     the circles together, and each report is bit-identical to the same
@@ -245,34 +243,34 @@ def starlike_margins(f: HarmonicMap, radii, angles: int = MARGIN_ANGLES) -> list
     """
     radii = _checked_radii(radii)
     series = (f.h, f.h.derivative(), f.g, f.g.derivative())
-    minima = _circle_minima(_starlike_functional, series, radii, angles)
+    minima = _circle_minima(_starlike_functional, series, radii)
     return [GeometryReport("starlike", r, v, t) for r, (v, t) in zip(radii, minima)]
 
 
-def starlike_margin(f: HarmonicMap, r: float, angles: int = MARGIN_ANGLES) -> GeometryReport:
+def starlike_margin(f: HarmonicMap, r: float) -> GeometryReport:
     """:func:`starlike_margins` on the one circle |z| = r."""
-    return starlike_margins(f, (r,), angles)[0]
+    return starlike_margins(f, (r,))[0]
 
 
-def convex_margins(f: HarmonicMap, radii, angles: int = MARGIN_ANGLES) -> list[GeometryReport]:
+def convex_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
     """Minimum over each circle |z| = r, r in ``radii``, of d(arg T)/d(theta).
 
     T(theta) = i(z h' - conj(z g')) is the tangent and T' = -[z h' +
     z^2 h'' + conj(z g' + z^2 g'')]; the margin is min Im[T'/T].  A
-    positive margin certifies convexity of the circle image.  ``angles``,
+    positive margin certifies convexity of the circle image.  The grid,
     the reports and the evaluation are as in :func:`starlike_margins`; a
     vanishing tangent raises for the first such radius in order.
     """
     radii = _checked_radii(radii)
     hp, gp = f.h.derivative(), f.g.derivative()
     series = (hp, hp.derivative(), gp, gp.derivative())
-    minima = _circle_minima(_convex_functional, series, radii, angles)
+    minima = _circle_minima(_convex_functional, series, radii)
     return [GeometryReport("convex", r, v, t) for r, (v, t) in zip(radii, minima)]
 
 
-def convex_margin(f: HarmonicMap, r: float, angles: int = MARGIN_ANGLES) -> GeometryReport:
+def convex_margin(f: HarmonicMap, r: float) -> GeometryReport:
     """:func:`convex_margins` on the one circle |z| = r."""
-    return convex_margins(f, (r,), angles)[0]
+    return convex_margins(f, (r,))[0]
 
 
 def _cross(ax, ay, bx, by):
@@ -345,19 +343,19 @@ def _winding_number(w: np.ndarray, about: complex) -> float:
     return float(increments.sum() / (2.0 * np.pi))
 
 
-def univalent_on_circle(f: HarmonicMap, r: float, angles: int = UNIVALENCE_ANGLES) -> bool:
+def univalent_on_circle(f: HarmonicMap, r: float) -> bool:
     """Certify one-to-one behavior of f on |z| = r at polygon resolution.
 
     Requires a simple sample polygon, winding number 1 about f(0) = 0,
     and a positive Jacobian at every sample.  Simplicity is the strict
     crossing test of ``_polygon_is_simple``: touching and collinear
     contacts do not count as crossings.  Beyond evaluating f, the cost is
-    O(m log m + candidate pairs) for m = ``angles`` samples, where the
-    candidates are the non-adjacent segment pairs whose bounding boxes
-    overlap.
+    O(m log m + candidate pairs) for m = ``UNIVALENCE_ANGLES`` samples,
+    where the candidates are the non-adjacent segment pairs whose
+    bounding boxes overlap.
     """
     _check_radius(r)
-    _, z = _circle(r, angles)
+    _, z = _circle(r, UNIVALENCE_ANGLES)
     w = np.asarray(eval_map(f, z))
     if np.min(np.abs(w)) < DEGENERACY_TOL:
         return False
@@ -394,10 +392,10 @@ def radius_estimate(f: HarmonicMap, prop: str, tol: float = 1e-4) -> RadiusEstim
 
     The estimate brackets the first sign change after the largest prefix
     of passing radii; margins need not be monotone in r, so the scan
-    order (ascending, first failure wins) is part of the contract.  Each
-    property is tested at its default angle count.  If no scanned radius
-    fails the degenerate full-disk estimate 1 is returned.  ``tol`` must
-    be positive and finite (``ValueError`` otherwise).
+    order (ascending, first failure wins) is part of the contract.  If
+    no scanned radius fails the degenerate full-disk estimate 1 is
+    returned.  ``tol`` must be positive and finite (``ValueError``
+    otherwise).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import AnalyticSeries, DomainError, alexander, convolve, linear_combine
+from .series import COEFF_TOL, AnalyticSeries, DomainError, alexander, convolve, linear_combine
 
 SLICE_MODULUS_TOL = 1e-12
 
@@ -40,12 +40,12 @@ class HarmonicMap:
     def order(self) -> int:
         return self.h.order
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        """h(0) = g(0) = 0, h'(0) = 1, g'(0) = 0."""
+    def is_normalized(self) -> bool:
+        """h(0) = g(0) = 0, h'(0) = 1, g'(0) = 0, to ``COEFF_TOL``."""
         return (
-            self.h.is_normalized(tol)
-            and abs(self.g.coeffs[0]) <= tol
-            and abs(self.g.const) <= tol
+            self.h.is_normalized()
+            and abs(self.g.coeffs[0]) <= COEFF_TOL
+            and abs(self.g.const) <= COEFF_TOL
         )
 
 

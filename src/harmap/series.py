@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_ORDER = 64
-
 #: slack used by normalization / exact-coefficient predicates
 COEFF_TOL = 1e-12
 
@@ -54,15 +52,9 @@ class AnalyticSeries:
         """Truncation order N."""
         return int(self.coeffs.size)
 
-    def coeff(self, n: int) -> complex:
-        """Coefficient of ``z**n`` (1-indexed)."""
-        if not 1 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} outside 1..{self.order}")
-        return complex(self.coeffs[n - 1])
-
-    def is_normalized(self, tol: float = COEFF_TOL) -> bool:
-        """True when the series has c_1 = 1 and no constant term."""
-        return abs(self.coeffs[0] - 1.0) <= tol and abs(self.const) <= tol
+    def is_normalized(self) -> bool:
+        """True when the series has c_1 = 1 and no constant term, to ``COEFF_TOL``."""
+        return abs(self.coeffs[0] - 1.0) <= COEFF_TOL and abs(self.const) <= COEFF_TOL
 
     def evaluate(self, z):
         """Value at ``z`` (scalar or ndarray), |z| < 1.
@@ -88,30 +80,23 @@ class AnalyticSeries:
         return self.const + acc * z
 
     def derivative(self) -> "AnalyticSeries":
-        """Termwise derivative, truncation N - 1.
+        """Termwise derivative, truncation max(N - 1, 1).
 
         The derivative's constant term (the input's c_1) is carried in
-        ``const``; the input's own ``const`` differentiates away.  It is
-        built on the first call and cached on the instance, which is safe
+        ``const``; the input's own ``const`` differentiates away.  An
+        order-1 series has the constant derivative c_1, returned as an
+        order-1 series with ``coeffs`` [0] and ``const`` c_1.  It is built
+        on the first call and cached on the instance, which is safe
         because the series is frozen and ``coeffs`` is read-only: later
-        calls return the same object.  An order-1 series raises
-        ``ValueError`` on every call.
+        calls return the same object.
         """
         return self._derivative
 
     @functools.cached_property
     def _derivative(self) -> "AnalyticSeries":
-        if self.order < 2:
-            raise ValueError("derivative requires order >= 2")
         n = np.arange(2, self.order + 1)
-        return AnalyticSeries(n * self.coeffs[1:], const=complex(self.coeffs[0]))
-
-
-def identity_series(order: int = DEFAULT_ORDER) -> AnalyticSeries:
-    """The series of f(z) = z."""
-    c = np.zeros(order, dtype=np.complex128)
-    c[0] = 1.0
-    return AnalyticSeries(c)
+        coeffs = n * self.coeffs[1:] if n.size else [0.0]
+        return AnalyticSeries(coeffs, const=complex(self.coeffs[0]))
 
 
 def convolve(s: AnalyticSeries, t: AnalyticSeries) -> AnalyticSeries:

@@ -44,10 +44,10 @@ class TestCoefficients:
         np.testing.assert_allclose(gaps, np.arange(1, 41), atol=1e-11)
 
     def test_quadratics(self):
-        assert make(CatalogTag.U_SHARP, 4).h.coeff(2) == 0.5
-        assert make(CatalogTag.U_SHARP_CONJ, 4).g.coeff(2) == 0.5
-        assert make(CatalogTag.V_SHARP, 4).h.coeff(2) == 0.25
-        assert make(CatalogTag.V_SHARP_CONJ, 4).g.coeff(2) == 0.25
+        assert make(CatalogTag.U_SHARP, 4).h.coeffs[1] == 0.5
+        assert make(CatalogTag.U_SHARP_CONJ, 4).g.coeffs[1] == 0.5
+        assert make(CatalogTag.V_SHARP, 4).h.coeffs[1] == 0.25
+        assert make(CatalogTag.V_SHARP_CONJ, 4).g.coeffs[1] == 0.25
 
     def test_alexander_images(self):
         lamK = make(CatalogTag.ALEXANDER_PLUS_K, 6)

@@ -10,7 +10,6 @@ from harmap.classes import (
     ClassId,
     ClassName,
     SingularReferenceError,
-    bound_table,
     coefficient_bound_check,
     growth_envelope,
     membership,
@@ -73,6 +72,26 @@ class TestMembership:
         res = membership(analytic_map(AnalyticSeries(h)), ClassId(ClassName.S_R))
         assert not res.is_member
         assert res.witness == 3
+
+    @pytest.mark.parametrize(
+        "name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0, ClassName.R_H0_G, ClassName.F_H0_G]
+    )
+    def test_identity_of_order_one_in_grid_classes(self, name):
+        # h' = 1 and g' = 0: the pair is (1, 0), slack 1 everywhere
+        ref = AnalyticSeries([1.0]) if name in classes.RELATIVE_CLASSES else None
+        res = membership(analytic_map(AnalyticSeries([1.0])), ClassId(name, reference_map=ref))
+        assert (res.status, res.margin) == ("member", 1.0)
+
+    @pytest.mark.parametrize("name", [ClassName.U_H0, ClassName.V_H0])
+    def test_order_one_witness_within_the_order(self, name):
+        res = membership(analytic_map(AnalyticSeries([1.0])), ClassId(name))
+        assert (res.status, res.margin, res.witness) == ("member", 1.0, 1)
+
+    def test_S_R_zero_margin_is_positive_zero(self):
+        for f in (analytic_map(AnalyticSeries([1.0])), make(CatalogTag.KOEBE, 8)):
+            res = membership(f, ClassId(ClassName.S_R))
+            assert res.status == "member"
+            assert math.copysign(1.0, res.margin) == 1.0
 
     def test_requires_normalized(self):
         h = np.zeros(4, dtype=np.complex128)
@@ -170,33 +189,39 @@ class TestDefiningPair:
 class TestCoefficientBounds:
     def test_macgregor_tight(self):
         f = make(CatalogTag.MACGREGOR_R, 64)
-        report = coefficient_bound_check(f, bound_table(ClassId(ClassName.R_H0)), 32)
+        report = coefficient_bound_check(f, ClassId(ClassName.R_H0), 32)
         assert report.ok
         np.testing.assert_allclose(report.gaps, report.bounds, atol=1e-15)
 
     def test_chichra_tight(self):
         f = make(CatalogTag.CHICHRA_W, 64)
-        report = coefficient_bound_check(f, bound_table(ClassId(ClassName.W_H0)), 32)
+        report = coefficient_bound_check(f, ClassId(ClassName.W_H0), 32)
         assert report.ok
         np.testing.assert_allclose(report.gaps, report.bounds, atol=1e-15)
 
     def test_violation_reported(self):
         f = make(CatalogTag.KOEBE, 16)
-        report = coefficient_bound_check(f, bound_table(ClassId(ClassName.U_H0)), 8)
+        report = coefficient_bound_check(f, ClassId(ClassName.U_H0), 8)
         assert not report.ok
         assert report.violations[0][0] == 2
 
     def test_sampled_members_respect_bounds(self):
         for name in (ClassName.U_H0, ClassName.V_H0):
-            table = bound_table(ClassId(name))
+            cid = ClassId(name)
             for seed in range(50):
-                f = sample_member(ClassId(name), seed)
-                assert coefficient_bound_check(f, table, 32).ok
+                f = sample_member(cid, seed)
+                assert coefficient_bound_check(f, cid, 32).ok
 
     def test_n_max_validation(self):
         f = make(CatalogTag.KOEBE, 8)
         with pytest.raises(ValueError):
-            coefficient_bound_check(f, bound_table(ClassId(ClassName.R_H0)), 9)
+            coefficient_bound_check(f, ClassId(ClassName.R_H0), 9)
+
+    @pytest.mark.parametrize("name", [ClassName.F_H0, ClassName.S_R, ClassName.F_H0_G])
+    def test_class_without_gap_bound(self, name):
+        ref = make(CatalogTag.KOEBE, 8).h if name is ClassName.F_H0_G else None
+        with pytest.raises(ValueError, match="no coefficient bound table"):
+            coefficient_bound_check(make(CatalogTag.KOEBE, 8), ClassId(name, reference_map=ref), 4)
 
 
 class TestGrowthEnvelope:

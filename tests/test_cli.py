@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from harmap.catalog import CatalogTag, make
 from harmap.cli import dump_map, load_map, main
 from harmap.harmonic import HarmonicMap
+from harmap.render import render_image
 from harmap.series import AnalyticSeries
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -75,6 +76,44 @@ class TestExitCodes:
         assert main(["classify", "--class", "W_H0", "--input", path]) == 0
         assert "status=member" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "cls, tail",
+        [
+            ("R_H0", "margin=1 witness=(0.99+0j)"),
+            ("W_H0", "margin=1 witness=(0.99+0j)"),
+            ("F_H0", "margin=1 witness=(0.99+0j)"),
+            # a coefficient index within 1..order, and a margin of +0 for S_R
+            ("U_H0", "margin=1 witness=1"),
+            ("V_H0", "margin=1 witness=1"),
+            ("S_R", "margin=0 witness=1"),
+        ],
+    )
+    def test_identity_of_order_one(self, cls, tail, tmp_path, capsys):
+        path = _write(tmp_path / "map.json", '{"order": 1, "h": [[1, 0]]}')
+        assert main(["classify", "--class", cls, "--input", path]) == 0
+        assert capsys.readouterr().out == f"class={cls} member=True status=member {tail}\n"
+
+    @pytest.mark.parametrize("order", ["2", "8"])
+    def test_convex_radius_of_u_sharp_at_low_order(self, order, capsys):
+        # the second derivative of an order-2 map is the constant 2 a_2
+        assert main(["radius", "--property", "convex", "--input", "u_sharp", "--order", order]) == 0
+        assert capsys.readouterr().out.startswith("property=convex value=0.49990234375 ")
+
+    @pytest.mark.parametrize(
+        "option",
+        [["--radii", "0.5,1.2"], ["--radii", "0.5,nan"], ["--radii", "0.5", "--samples", "100"]],
+    )
+    def test_render_input_errors_write_nothing(self, option, tmp_path, capsys):
+        out = tmp_path / "out.svg"
+        assert main(["render", "--input", "koebe", "--out", str(out)] + option) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_unknown_suite(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "nope", "--out-dir", str(tmp_path)]) == 2
+        assert "unknown suite 'nope'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("order", ["0", "-1"])
     @pytest.mark.parametrize(
         "argv",
@@ -126,6 +165,17 @@ def harmonic_maps(draw):
         np.array([complex(draw(finite), draw(finite)) for _ in range(order)]) for _ in range(2)
     ]
     return HarmonicMap(AnalyticSeries(parts[0]), AnalyticSeries(parts[1]))
+
+
+class TestRender:
+    def test_output_equals_render_image(self, tmp_path, capsys):
+        out = tmp_path / "cli.svg"
+        argv = ["render", "--input", "harmonic_koebe", "--order", "128", "--radii", "0.3,0.6,0.9"]
+        assert main(argv + ["--samples", "300", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        direct = tmp_path / "direct.svg"
+        render_image(make(CatalogTag.HARMONIC_KOEBE, 128), [0.3, 0.6, 0.9], 300, direct)
+        assert out.read_bytes() == direct.read_bytes()
 
 
 class TestRoundTrip:

@@ -16,6 +16,7 @@ from harmap.geometry import (
     PAIR_CHUNK,
     DegenerateCurveError,
     RootNotFoundError,
+    GRID_ANGLES,
     SamplingGrid,
     convex_margin,
     convex_margins,
@@ -31,11 +32,11 @@ from harmap.geometry import (
     univalent_on_circle,
 )
 from harmap.harmonic import HarmonicMap, analytic_map, eval_map, slice_map
-from harmap.series import AnalyticSeries, identity_series
+from harmap.series import AnalyticSeries
 
 
 def identity_map(order=8):
-    return analytic_map(identity_series(order))
+    return analytic_map(AnalyticSeries(np.eye(1, order, 0).ravel()))
 
 
 def rotate(f, alpha):
@@ -77,7 +78,7 @@ class TestMargins:
 
     def test_witness_attains_margin(self):
         k = make(CatalogTag.KOEBE, 64)
-        rep = convex_margin(k, 0.3, 512)
+        rep = convex_margin(k, 0.3)
         z = 0.3 * np.exp(1j * rep.witness_angle)
         hp = k.h.derivative()
         val = np.real(1 + z * hp.derivative().evaluate(z) / hp.evaluate(z))
@@ -87,14 +88,14 @@ class TestMargins:
         # f(z) = z - z^2/0.3 vanishes on the circle r = 0.3 at angle 0
         f = analytic_map(AnalyticSeries([1.0, -1.0 / 0.3]))
         with pytest.raises(DegenerateCurveError):
-            starlike_margin(f, 0.3, 64)
+            starlike_margin(f, 0.3)
 
     def test_radius_validation(self):
         with pytest.raises(ValueError):
             starlike_margin(identity_map(), 1.2)
 
 
-def one_circle_minimum(kind, f, r, angles=MARGIN_ANGLES):
+def one_circle_minimum(kind, f, r):
     """The margin of one circle as computed before margins took several radii.
 
     The series are evaluated on this circle alone; the functionals, the
@@ -121,6 +122,7 @@ def one_circle_minimum(kind, f, r, angles=MARGIN_ANGLES):
             Tp = -(z * hp + z**2 * hpp + (z * gp + z**2 * gpp).conjugate())
             return (Tp / T).imag
 
+    angles = MARGIN_ANGLES
     theta = np.arange(angles) * (2.0 * np.pi / angles)
     z = r * np.exp(1j * theta)
     margin = functional(z, *(s.evaluate(z) for s in series))
@@ -141,20 +143,19 @@ def one_circle_minimum(kind, f, r, angles=MARGIN_ANGLES):
     return value, angle % (2.0 * np.pi)
 
 
-def assert_margins_match_one_circle(f, radii, angles=MARGIN_ANGLES):
+def assert_margins_match_one_circle(f, radii):
     for kind, margins in (("starlike", starlike_margins), ("convex", convex_margins)):
         expected = []
         try:
             for r in radii:
-                expected.append(one_circle_minimum(kind, f, r, angles))
-        except (DegenerateCurveError, ValueError) as exc:
-            # the first degenerate radius in order raises, with its own message;
-            # an order-2 map has no second derivative for the convex margin
-            with pytest.raises(type(exc)) as raised:
-                margins(f, radii, angles)
+                expected.append(one_circle_minimum(kind, f, r))
+        except DegenerateCurveError as exc:
+            # the first degenerate radius in order raises, with its own message
+            with pytest.raises(DegenerateCurveError) as raised:
+                margins(f, radii)
             assert str(raised.value) == str(exc)
             continue
-        reports = margins(f, radii, angles)
+        reports = margins(f, radii)
         assert [rep.r for rep in reports] == list(radii)
         assert all(rep.functional == kind for rep in reports)
         got = [(rep.min_margin.hex(), rep.witness_angle.hex()) for rep in reports]
@@ -181,11 +182,10 @@ class TestSeveralRadii:
         tag=st.sampled_from(list(CatalogTag)),
         order=st.integers(min_value=2, max_value=400),
         radii=radius_lists,
-        angles=st.sampled_from([64, 101, 256, MARGIN_ANGLES]),  # 101: slices off 64-byte alignment
     )
     @settings(max_examples=40, deadline=None)
-    def test_catalog_maps_match_one_circle(self, tag, order, radii, angles):
-        assert_margins_match_one_circle(make(tag, order), radii, angles)
+    def test_catalog_maps_match_one_circle(self, tag, order, radii):
+        assert_margins_match_one_circle(make(tag, order), radii)
 
     def test_verify_radii_on_members(self):
         # the (map, radius) lists the verify suites ask for
@@ -198,10 +198,10 @@ class TestSeveralRadii:
         # f(z) = z - z^2/r0 vanishes on |z| = r0 at angle 0, for r0 = 0.3 and 0.5
         f = analytic_map(AnalyticSeries([1.0, -1.0 / 0.3]))
         with pytest.raises(DegenerateCurveError, match="r=0.3$"):
-            starlike_margins(f, (0.2, 0.3, 0.4), 64)
+            starlike_margins(f, (0.2, 0.3, 0.4))
         g = analytic_map(AnalyticSeries([1.0, -1.0 / 0.5]))
         with pytest.raises(DegenerateCurveError, match="r=0.5$"):
-            starlike_margins(g, (0.5, 0.3), 64)
+            starlike_margins(g, (0.5, 0.3))
 
     def test_one_radius_forms(self):
         f = make(CatalogTag.HARMONIC_KOEBE, 128)
@@ -298,7 +298,7 @@ class TestMarginCrossChecks:
 class TestUnivalence:
     def test_identity_true_everywhere(self):
         for r in (0.1, 0.5, 0.9):
-            assert univalent_on_circle(identity_map(), r, 256)
+            assert univalent_on_circle(identity_map(), r)
 
     def test_harmonic_koebe_true_inside(self):
         K = make(CatalogTag.HARMONIC_KOEBE, 400)
@@ -312,12 +312,12 @@ class TestUnivalence:
     def test_collapsed_slice_rejected_inside(self):
         # the unit slice collapses two points, so the circle r = 0.95 fails too
         K = make(CatalogTag.HARMONIC_KOEBE, 3000)
-        assert not univalent_on_circle(analytic_map(slice_map(K, 1.0)), 0.95, 1024)
+        assert not univalent_on_circle(analytic_map(slice_map(K, 1.0)), 0.95)
 
     def test_folded_map_rejected(self):
         # h = z + 2 z^2 folds the circle r = 0.9 (derivative vanishes inside)
         f = analytic_map(AnalyticSeries([1.0, 2.0]))
-        assert not univalent_on_circle(f, 0.9, 512)
+        assert not univalent_on_circle(f, 0.9)
 
 
 def exact_side(p, q, r):
@@ -641,15 +641,13 @@ class TestSamplingGrid:
     def test_validation(self):
         for radius in (0.0, -0.5, 1.0, 1.5):
             with pytest.raises(ValueError):
-                SamplingGrid(radius=radius, angles=128)
-        with pytest.raises(ValueError):
-            SamplingGrid(radius=0.5, angles=32)
-        assert SamplingGrid(radius=1 / 2, angles=64).radius == 0.5
+                SamplingGrid(radius=radius)
+        assert SamplingGrid(radius=1 / 2).radius == 0.5
 
     def test_points_layout(self):
-        grid = SamplingGrid(radius=0.25, angles=64)
+        grid = SamplingGrid(radius=0.25)
         pts = grid.points()
-        assert pts.shape == (64,)
+        assert pts.shape == (GRID_ANGLES,) == (256,)
         assert pts[0] == pytest.approx(0.25)
-        assert pts[16] == pytest.approx(0.25j)
-        assert pts.tobytes() == _circle(0.25, 64)[1].tobytes()
+        assert pts[64] == pytest.approx(0.25j)
+        assert pts.tobytes() == _circle(0.25, GRID_ANGLES)[1].tobytes()

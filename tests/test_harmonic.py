@@ -16,7 +16,12 @@ from harmap.harmonic import (
     slice_map,
     tilde_convolve,
 )
-from harmap.series import AnalyticSeries, DomainError, convolve, identity_series
+from harmap.series import AnalyticSeries, DomainError, convolve
+
+
+def identity_series(order):
+    """The series of f(z) = z."""
+    return AnalyticSeries(np.eye(1, order, 0).ravel())
 
 
 def quad_map(coef=0.5, order=8, conjugated=True):
@@ -67,6 +72,12 @@ class TestEvalMap:
         with pytest.raises(ValueError):
             HarmonicMap(identity_series(4), AnalyticSeries(np.zeros(5)))
 
+    def test_normalized_to_coeff_tol(self):
+        # g'(0) = 0 within COEFF_TOL = 1e-12
+        h = AnalyticSeries([1.0, 0.0])
+        assert HarmonicMap(h, AnalyticSeries([5e-13, 0.0])).is_normalized()
+        assert not HarmonicMap(h, AnalyticSeries([2e-12, 0.0])).is_normalized()
+
 
 class TestIdentityEquality:
     def test_distinct_equal_values_are_unequal_and_hashable(self):
@@ -81,8 +92,9 @@ class TestIdentityEquality:
 
 class TestJacobian:
     def test_identity(self):
-        f = analytic_map(identity_series(8))
-        assert jacobian(f, 0.3 + 0.4j) == pytest.approx(1.0)
+        for order in (1, 8):
+            f = analytic_map(identity_series(order))
+            assert jacobian(f, 0.3 + 0.4j) == pytest.approx(1.0)
 
     def test_quadratic_map(self):
         # f = z + conj(z^2/2) has J = 1 - |z|^2
@@ -145,8 +157,8 @@ class TestConvolutionOperators:
 
     def test_quadratic_self_convolution(self):
         out = harmonic_convolve(quad_map(), quad_map())
-        assert out.g.coeff(2) == pytest.approx(0.25)
-        assert out.h.coeff(1) == pytest.approx(1.0)
+        assert out.g.coeffs[1] == pytest.approx(0.25)
+        assert out.h.coeffs[0] == pytest.approx(1.0)
 
     def test_slice_factorization(self):
         rng = np.random.default_rng(7)
@@ -206,10 +218,10 @@ class TestConvexCombination:
     def test_mixed_quadratics(self):
         # (z + z^2/2)/2 + (z + conj(z^2)/2)/2 = z + z^2/4 + conj(z^2)/4
         out = convex_combination([0.5, 0.5], [quad_map(conjugated=False), quad_map()])
-        assert out.h.coeff(2) == pytest.approx(0.25)
-        assert out.g.coeff(2) == pytest.approx(0.25)
+        assert out.h.coeffs[1] == pytest.approx(0.25)
+        assert out.g.coeffs[1] == pytest.approx(0.25)
         total = sum(
-            n * (abs(out.h.coeff(n)) + abs(out.g.coeff(n))) for n in range(2, out.order + 1)
+            n * (abs(out.h.coeffs[n - 1]) + abs(out.g.coeffs[n - 1])) for n in range(2, out.order + 1)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
@@ -255,9 +267,9 @@ class TestAlexanderOperators:
         # transform gives (n-1)/(2n): 1/4, 1/3, 3/8 at n = 2, 3, 4
         L = make(CatalogTag.HARMONIC_HALF_PLANE, 8)
         out = alexander_minus(L)
-        assert out.g.coeff(2) == pytest.approx(0.25)
-        assert out.g.coeff(3) == pytest.approx(1.0 / 3.0)
-        assert out.g.coeff(4) == pytest.approx(0.375)
+        assert out.g.coeffs[1] == pytest.approx(0.25)
+        assert out.g.coeffs[2] == pytest.approx(1.0 / 3.0)
+        assert out.g.coeffs[3] == pytest.approx(0.375)
 
     def test_slice_commutation(self):
         rng = np.random.default_rng(3)

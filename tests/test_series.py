@@ -8,7 +8,6 @@ from harmap.series import (
     DomainError,
     alexander,
     convolve,
-    identity_series,
     linear_combine,
 )
 
@@ -22,6 +21,11 @@ def series_pair(draw):
     order = draw(st.integers(min_value=2, max_value=12))
     mk = lambda: AnalyticSeries(draw(st.lists(finite_complex, min_size=order, max_size=order)))
     return mk(), mk()
+
+
+def identity_series(order):
+    """The series of f(z) = z."""
+    return AnalyticSeries(np.eye(1, order, 0).ravel())
 
 
 def koebe_series(order=64):
@@ -151,15 +155,15 @@ class TestDerivative:
         s = koebe_series(10)
         assert s.derivative().order == 9
 
-    def test_requires_order_two(self):
-        with pytest.raises(ValueError):
-            AnalyticSeries([1.0]).derivative()
-
-    def test_order_one_raises_on_every_call(self):
-        s = AnalyticSeries([1.0])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="order >= 2"):
-                s.derivative()
+    def test_order_one_derivative_is_the_constant(self):
+        # c1 z has the constant derivative c1: coeffs [0], const c1, on every call
+        s = AnalyticSeries([2.0 - 1.0j], const=0.5)
+        d = s.derivative()
+        assert d is s.derivative()
+        assert (d.order, d.coeffs.tolist(), d.const) == (1, [0j], 2.0 - 1.0j)
+        for z in (0.0, 0.5, -0.3 + 0.2j):
+            assert d.evaluate(z) == 2.0 - 1.0j
+        assert (d.derivative().coeffs.tolist(), d.derivative().const) == ([0j], 0j)
 
     @pytest.mark.parametrize("order", [3, 64, 1536])
     def test_cached_on_the_instance(self, order):
@@ -296,12 +300,9 @@ class TestInvariants:
         assert identity_series(4).is_normalized()
         assert not AnalyticSeries([2.0, 0.0]).is_normalized()
         assert not AnalyticSeries([1.0, 0.0], const=0.5).is_normalized()
-
-    def test_coeff_accessor(self):
-        s = koebe_series(5)
-        assert s.coeff(3) == 3.0
-        with pytest.raises(IndexError):
-            s.coeff(6)
+        # the tolerance is COEFF_TOL = 1e-12
+        assert AnalyticSeries([1.0 + 5e-13, 0.0], const=5e-13).is_normalized()
+        assert not AnalyticSeries([1.0 + 2e-12, 0.0]).is_normalized()
 
     def test_immutable(self):
         s = koebe_series(4)
