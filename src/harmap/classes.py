@@ -21,9 +21,9 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .geometry import DEFAULT_GRID, SamplingGrid, _winding_number
+from .geometry import DEFAULT_GRID, GRID_ANGLES, SamplingGrid, _winding_number
 from .harmonic import HarmonicMap
-from .series import AnalyticSeries
+from .series import AnalyticSeries, circle_scan
 
 #: positive-margin tolerance certifying a strict inequality on a closed grid
 STRICTNESS_TOL = 1e-9
@@ -250,10 +250,8 @@ def _sample_coefficient_class(c: ClassId, rng: np.random.Generator, order: int) 
 
 
 def _grid_scale(name: ClassName, grid: SamplingGrid, q: np.ndarray, p: np.ndarray, target: float) -> float:
-    """The scale s that puts the circle slack of 1 + s*q, s*p at ``target``."""
-    z = grid.points()
-    qv = AnalyticSeries(q).evaluate(z)
-    pv = AnalyticSeries(p).evaluate(z)
+    """The scale s that puts the circle slack of 1 + s*q, s*p at ``target``, from the circle scan."""
+    (qv, pv), _ = circle_scan((AnalyticSeries(q), AnalyticSeries(p)), (grid.radius,), GRID_ANGLES)
     if name in (ClassName.F_H0, ClassName.F_H0_G):
         worst = float(np.max(np.abs(qv) + np.abs(pv)))
         return (1.0 - target) / worst
@@ -294,10 +292,23 @@ def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
 
     Coefficient classes rescale a random draw so the defining sum lands
     in [0.3, 1]; derivative classes rescale so the margin on the
-    certifying circle lands in [0.1, 0.7].  The output always passes
-    :func:`membership`, given a _G reference whose derivative has no
-    zero in the closed disk.
+    certifying circle lands in [0.1, 0.7], choosing the scale from the
+    circle scan of :func:`~harmap.series.circle_scan` (a draw choice; the
+    margin :func:`membership` reports is evaluated by Horner and agrees
+    with the target to rounding).  Draws of the classes without a
+    reference always pass :func:`membership`.  A _G draw has
+    h' = G'(1 + s q) truncated to the order; it passes when G' has no
+    zero in the closed disk and the truncated tail is small on the
+    certifying circle, which with the catalog references takes orders
+    of about 64.  Order 1 gives the identity z, the only normalized map
+    of that order: a member of every class without a reference, and of
+    R_H0_G or F_H0_G when Re G' > 0 or Re G' > 1/2 on the certifying
+    circle.  An order below 1 raises ``ValueError``.
     """
+    if order < 1:
+        raise ValueError(f"sample order must be at least 1, got {order}")
+    if order == 1:
+        return HarmonicMap(AnalyticSeries([1.0]), AnalyticSeries([0.0]))
     rng = np.random.default_rng(seed)
     if c.name in (ClassName.U_H0, ClassName.V_H0):
         return _sample_coefficient_class(c, rng, order)

@@ -7,10 +7,17 @@ grid of ``MARGIN_ANGLES`` points brackets the minimum, and successive
 parabolic interpolation refines it to a value attained at the reported
 witness angle, so a margin does not depend on where the grid falls on
 the circle.  ``starlike_margins`` and ``convex_margins`` take several
-radii and evaluate each series once on all their circles.  Positive
-margins certify the property on that circle.  Radius estimation and the
-polynomial root finder both locate a sign change by a scan followed by
-the one bisection, ``_bisect``.  A ``SamplingGrid`` is the one circle,
+radii.  The circle scan of :func:`~harmap.series.circle_scan` finds the
+grid minimum of all their circles with one inverse FFT, and Horner
+reports it: a per-point bound on the scan's error selects the grid
+points that could hold Horner's minimum, one stacked Horner call
+evaluates them and their neighbours, and every reported value comes
+from those Horner values and the refinement, bit for bit as if each
+whole circle had been evaluated by Horner.  That costs one FFT and
+Horner at a few points per circle instead of Horner at all of them.
+Positive margins certify the property on that circle.  Radius
+estimation and the polynomial root finder both locate a sign change by
+a scan followed by the one bisection, ``_bisect``.  A ``SamplingGrid`` is the one circle,
 of ``GRID_ANGLES`` points, that a class certificate of
 :mod:`harmap.classes` samples.
 """
@@ -22,12 +29,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .harmonic import HarmonicMap, eval_map, jacobian
-from .series import AnalyticSeries
+from .series import EPS, AnalyticSeries, circle_scan, evaluate_stack
 
 DEGENERACY_TOL = 1e-12
 
@@ -172,30 +180,102 @@ def _refine_minimum(fn, b: float, h: float, fa: float, fb: float, fc: float):
     return angle, value
 
 
-def _circle_minima(functional, series: tuple[AnalyticSeries, ...], radii):
+@dataclass(frozen=True)
+class _Functional:
+    """A margin getattr(num / den, ``part``) of series values on a circle.
+
+    ``quotient(z, *values)`` returns (num, den).  Each is a sum of series
+    values, or their conjugates, each at most once and times z**k with
+    k <= 2 and a unit factor, so a value moves each by at most r**k <= 1
+    times its own move.  A |den| below ``DEGENERACY_TOL`` raises
+    ``DegenerateCurveError`` with ``degenerate`` formatted with r.
+    """
+
+    quotient: Callable
+    part: str
+    degenerate: str
+
+    def __call__(self, r: float, z, *values):
+        num, den = self.quotient(z, *values)
+        if np.min(np.abs(den)) < DEGENERACY_TOL:
+            raise DegenerateCurveError(self.degenerate.format(r=r))
+        return getattr(num / den, self.part)
+
+    def scan(self, z: np.ndarray, values: np.ndarray, bound: np.ndarray):
+        """Intervals [low, high] holding the Horner margin at each point of a
+        scanned circle, and the points where |den| may fall below
+        ``DEGENERACY_TOL``.
+
+        ``values`` are the scanned series, each within ``bound`` of its
+        Horner value, so num and den each move by at most
+        delta = sum(bound + 8 eps |value|), where 8 eps |value| covers the
+        rounding of the sums and products on both sides.  The quotient q then moves by at most
+        delta (1 + |q|) / (|den| - delta), plus 8 eps |q| for the division
+        on both sides.  Where |den| <= delta, or the scanned margin is not
+        a number, the interval is the whole line.
+        """
+        num, den = self.quotient(z, *values)
+        delta = (bound[:, None] + 8.0 * EPS * np.abs(values)).sum(axis=0)
+        gap = np.abs(den) - delta
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = num / den
+            size = np.abs(q)
+            err = np.where(gap > 0.0, delta * (1.0 + size) / gap + 8.0 * EPS * size, np.inf)
+            margin = getattr(q, self.part)
+            low, high = margin - err, margin + err
+        unknown = np.isnan(low) | np.isnan(high)
+        low[unknown], high[unknown] = -np.inf, np.inf
+        return low, high, gap < DEGENERACY_TOL
+
+
+def _circle_minima(functional: _Functional, series: tuple[AnalyticSeries, ...], radii):
     """Minimum over each circle |z| = r, r in ``radii``, of ``functional(r, z, *values)``.
 
-    Each series is evaluated once, on the circles concatenated in order;
-    ``functional`` then runs on one circle's slice at a time, so a check
-    that raises does so for the first offending radius.  Per circle, the
-    sampled minimum on ``MARGIN_ANGLES`` equispaced points and its two
-    neighbours bracket a local minimum, which is then refined.  Returns
-    one (value, angle) per radius, the angle in [0, 2*pi).
+    Per circle, the sampled minimum on ``MARGIN_ANGLES`` equispaced
+    points and its two neighbours bracket a local minimum, which is then
+    refined; a check that raises does so for the first offending radius.
+    Returns one (value, angle) per radius, the angle in [0, 2*pi).
 
-    The values are bit-identical to evaluating each circle on its own:
-    numpy computes each element of an array of two or more points the
-    same way at any length.
+    The circle scan finds the minimum and Horner reports it.  One
+    inverse FFT (:func:`circle_scan`) evaluates every series on every
+    circle, and :meth:`_Functional.scan` gives, per point, an interval
+    [low, high] that holds the margin of Horner's values.  A point whose
+    low exceeds the least high on its circle cannot hold the Horner
+    minimum, nor tie with it.  The other points, their neighbours and
+    every point whose |den| may fall below ``DEGENERACY_TOL`` are
+    evaluated by one :func:`evaluate_stack` call for all circles, and the
+    argmin (the first of tied points), the bracket, the degeneracy test
+    and the refinement run on those Horner values.  So every result is
+    bit for bit the one of evaluating each whole circle by Horner: numpy
+    computes each element of an array of two or more points the same way
+    at any length.  Cost: one FFT over the series and radii, plus Horner
+    at the kept points, which are 3 per circle in the median and up to
+    about a thousand where the interval is wide (orders in the thousands
+    at r near 1, measured on catalog maps).
     """
     if not radii:
         return []
-    theta = _unit_circle(MARGIN_ANGLES)[0]
-    z = np.concatenate([_circle(r, MARGIN_ANGLES)[1] for r in radii])
-    values = [s.evaluate(z) for s in series]
-    minima = []
-    for k, r in enumerate(radii):
-        part = slice(k * MARGIN_ANGLES, (k + 1) * MARGIN_ANGLES)
-        margin = functional(r, z[part], *(v[part] for v in values))
-        i = int(np.argmin(margin))
+    theta, unit = _unit_circle(MARGIN_ANGLES)
+    scan, bound = circle_scan(series, radii, MARGIN_ANGLES)
+    picks, candidates = [], []
+    for j, r in enumerate(radii):
+        low, high, near_zero = functional.scan(r * unit, scan[:, j], bound[:, j])
+        keep = low <= high.min()
+        k = np.flatnonzero(keep)
+        picked = np.union1d(np.concatenate((k - 1, k, k + 1)) % MARGIN_ANGLES, np.flatnonzero(near_zero))
+        picks.append(picked)
+        candidates.append(keep[picked])
+    z = np.concatenate([(r * unit)[p] for r, p in zip(radii, picks)])
+    values = evaluate_stack(series, z)
+    minima, start = [], 0
+    for r, picked, candidate in zip(radii, picks, candidates):
+        part = slice(start, start + picked.size)
+        start += picked.size
+        margin = functional(r, z[part], *values[:, part])
+        c = np.flatnonzero(candidate)
+        k = c[int(np.argmin(margin[c]))]
+        i = int(picked[k])
+        left, right = np.searchsorted(picked, ((i - 1) % MARGIN_ANGLES, (i + 1) % MARGIN_ANGLES))
 
         def margin_at(t: float, r=r) -> float:
             zt = r * cmath.exp(1j * t)
@@ -205,27 +285,26 @@ def _circle_minima(functional, series: tuple[AnalyticSeries, ...], radii):
             margin_at,
             float(theta[i]),
             2.0 * np.pi / MARGIN_ANGLES,
-            float(margin[i - 1]),
-            float(margin[i]),
-            float(margin[(i + 1) % MARGIN_ANGLES]),
+            float(margin[left]),
+            float(margin[k]),
+            float(margin[right]),
         )
         minima.append((value, angle % (2.0 * np.pi)))
     return minima
 
 
-def _starlike_functional(r, z, h, hp, g, gp):
-    fval = h + g.conjugate()
-    if np.min(np.abs(fval)) < DEGENERACY_TOL:
-        raise DegenerateCurveError(f"curve passes through the origin at r={r}")
-    return ((z * hp - (z * gp).conjugate()) / fval).real
+def _starlike_quotient(z, h, hp, g, gp):
+    return z * hp - (z * gp).conjugate(), h + g.conjugate()
 
 
-def _convex_functional(r, z, hp, hpp, gp, gpp):
+def _convex_quotient(z, hp, hpp, gp, gpp):
     T = 1j * (z * hp - (z * gp).conjugate())
-    if np.min(np.abs(T)) < DEGENERACY_TOL:
-        raise DegenerateCurveError(f"tangent vanishes on the circle r={r}")
     Tp = -(z * hp + z**2 * hpp + (z * gp + z**2 * gpp).conjugate())
-    return (Tp / T).imag
+    return Tp, T
+
+
+_STARLIKE = _Functional(_starlike_quotient, "real", "curve passes through the origin at r={r}")
+_CONVEX = _Functional(_convex_quotient, "imag", "tangent vanishes on the circle r={r}")
 
 
 def starlike_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
@@ -243,7 +322,7 @@ def starlike_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
     """
     radii = _checked_radii(radii)
     series = (f.h, f.h.derivative(), f.g, f.g.derivative())
-    minima = _circle_minima(_starlike_functional, series, radii)
+    minima = _circle_minima(_STARLIKE, series, radii)
     return [GeometryReport("starlike", r, v, t) for r, (v, t) in zip(radii, minima)]
 
 
@@ -264,7 +343,7 @@ def convex_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
     radii = _checked_radii(radii)
     hp, gp = f.h.derivative(), f.g.derivative()
     series = (hp, hp.derivative(), gp, gp.derivative())
-    minima = _circle_minima(_convex_functional, series, radii)
+    minima = _circle_minima(_CONVEX, series, radii)
     return [GeometryReport("convex", r, v, t) for r, (v, t) in zip(radii, minima)]
 
 

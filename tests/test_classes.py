@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,49 @@ class TestSampling:
             f = sample_member(ClassId(ClassName.F_H0_G, reference_map=ref), 1)
             ratios.append(f.h.derivative().evaluate(z) / ref.derivative().evaluate(z))
         np.testing.assert_allclose(ratios[0], ratios[1], rtol=1e-12)
+
+    @pytest.mark.parametrize("name", list(ClassName))
+    def test_order_one_draw_is_the_identity(self, name):
+        # G' = 1 + 0.45 (z/2) / (1 - z/2) has Re G' > 1/2, so 1/G' satisfies
+        # both relative conditions and z is a member of the _G classes too
+        n = np.arange(2, 65)
+        ref = AnalyticSeries(np.concatenate(([1.0], 0.45 * 0.5 ** (n - 1) / n)))
+        cid = ClassId(name, reference_map=ref if name in classes.RELATIVE_CLASSES else None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = sample_member(cid, 3, order=1)
+        assert f.order == 1 and f.h.coeffs.tolist() == [1.0] and f.g.coeffs.tolist() == [0.0]
+        assert membership(f, cid).is_member
+
+    def test_order_one_relative_draw_needs_a_suitable_reference(self):
+        # with the half-plane reference, h'/G' = (1 - z)^2 has a negative real part at z = 0.75
+        cid = ClassId(ClassName.R_H0_G, reference_map=make(CatalogTag.HALF_PLANE, 64).h)
+        assert not membership(sample_member(cid, 3, order=1), cid).is_member
+
+    @pytest.mark.parametrize("order", [0, -2])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match=f"got {order}$"):
+            sample_member(ClassId(ClassName.R_H0), 0, order=order)
+
+    # The scale is chosen on the circle scan and the margin is reported by
+    # Horner, so the documented range holds to rounding, not exactly.
+    @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0])
+    @pytest.mark.parametrize("order", [2, 64])
+    def test_derivative_draws_land_in_the_target_range(self, name, order):
+        cid = ClassId(name)
+        for seed in range(100):
+            assert 0.1 - 1e-12 <= membership(sample_member(cid, seed, order), cid).margin <= 0.7 + 1e-12
+
+    @pytest.mark.parametrize("name", [ClassName.R_H0_G, ClassName.F_H0_G])
+    def test_relative_draws_land_in_the_target_range(self, name):
+        # the four reference maps of the T4.7/T4.8 suites
+        n = np.arange(2, 201)
+        re_half = np.concatenate(([1.0], 0.45 * 0.5 ** (n - 1) / n))
+        refs = [make(tag, 200).h for tag in (CatalogTag.KOEBE, CatalogTag.HALF_PLANE, CatalogTag.MACGREGOR_R)]
+        for ref in refs + [AnalyticSeries(re_half)]:
+            cid = ClassId(name, reference_map=ref)
+            for seed in range(25):
+                assert 0.1 - 1e-12 <= membership(sample_member(cid, seed, 200), cid).margin <= 0.7 + 1e-12
 
     def test_growth_envelope_respected_by_R_samples(self):
         cid = ClassId(ClassName.R_H0)

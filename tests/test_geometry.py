@@ -194,6 +194,48 @@ class TestSeveralRadii:
             assert_margins_match_one_circle(f, (0.3, 0.6, 0.9, 0.95))
         assert_margins_match_one_circle(make(CatalogTag.ALEXANDER_PLUS_K, 400), (0.90, 0.93, 0.96))
 
+    # The circle scan chooses the points that Horner evaluates; these cases
+    # are where its window must be widest.  At orders in the thousands and
+    # r near 1 the scanned margin is off by up to 1.6e-3 relative at the
+    # minimum (harmonic Koebe, order 4096, convex, r = 0.99), and the scan's
+    # own argmin differs from Horner's in 14 of these 96 margins (Koebe,
+    # harmonic Koebe, harmonic half-plane and both Alexander maps).
+    @pytest.mark.parametrize("order", [1536, 4096])
+    def test_ill_conditioned_catalog_maps_match_one_circle(self, order):
+        for tag in CatalogTag:
+            assert_margins_match_one_circle(make(tag, order), (0.98, 0.99))
+
+    # Real coefficients make the margin even in the angle, so the grid
+    # minimum is tied between mirrored points that round differently: for
+    # the starlike margin of the half-plane map at order 3, r = 0.5 the
+    # scan's argmin is grid point 344 and Horner's 680, so the window must
+    # keep both.
+    @pytest.mark.parametrize("order", [2, 3, 4, 5, 8, 64])
+    def test_mirror_tied_real_maps_match_one_circle(self, order):
+        for tag in CatalogTag:
+            assert_margins_match_one_circle(make(tag, order), (0.3, 0.5, 0.7, 0.9))
+        rng = np.random.default_rng(order)
+        n = np.arange(1, order + 1)
+        for _ in range(4):
+            h = np.concatenate(([1.0], rng.uniform(-0.3, 0.3, order - 1) / n[1:] ** 2))
+            g = np.concatenate(([0.0], rng.uniform(-0.3, 0.3, order - 1) / n[1:] ** 2))
+            f = HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+            assert_margins_match_one_circle(f, (0.5, 0.9))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_degeneracy_near_the_threshold_decided_by_horner(self, side):
+        # f = z - (1 + d) z^2 / 0.5 and h' = 1 - (1 + d) z / 0.5 come within
+        # 5e-13 < DEGENERACY_TOL of 0 at the grid point z = 0.5, where the
+        # margin is far from the minimum when d > 0; d < 0 flips its sign
+        d = side * 1e-12
+        for c2 in (-2.0 * (1.0 + d), -(1.0 + d)):
+            f = analytic_map(AnalyticSeries([1.0, c2]))
+            assert_margins_match_one_circle(f, (0.3, 0.5))
+        with pytest.raises(DegenerateCurveError, match="r=0.5$"):
+            starlike_margins(analytic_map(AnalyticSeries([1.0, -2.0 * (1.0 + d)])), (0.3, 0.5))
+        with pytest.raises(DegenerateCurveError, match="r=0.5$"):
+            convex_margins(analytic_map(AnalyticSeries([1.0, -(1.0 + d)])), (0.3, 0.5))
+
     def test_first_degenerate_radius_raises(self):
         # f(z) = z - z^2/r0 vanishes on |z| = r0 at angle 0, for r0 = 0.3 and 0.5
         f = analytic_map(AnalyticSeries([1.0, -1.0 / 0.3]))

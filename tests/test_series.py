@@ -7,7 +7,9 @@ from harmap.series import (
     AnalyticSeries,
     DomainError,
     alexander,
+    circle_scan,
     convolve,
+    evaluate_stack,
     linear_combine,
 )
 
@@ -133,6 +135,107 @@ class TestEvaluate:
             part = together[start : start + z.size]
             assert part.tobytes() == s.evaluate(z).tobytes()
             start += z.size
+
+
+def random_series(rng, order, const=0.0, decay=1.0):
+    n = np.arange(1, order + 1)
+    return AnalyticSeries((rng.standard_normal(order) + 1j * rng.standard_normal(order)) / n**decay, const=const)
+
+
+class TestEvaluateStack:
+    """Each row of the stacked Horner loop equals ``evaluate`` bit for bit."""
+
+    @pytest.mark.parametrize(
+        "shape", [(1,), (2,), (3,), (256,), (1, 1), (5, 1), (1, 5), (4, 16), (1, 1, 1)]
+    )
+    def test_rows_equal_evaluate(self, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + int(np.prod(shape)))
+        series = [
+            random_series(rng, 300, const=0.25j),
+            random_series(rng, 7),
+            AnalyticSeries(np.zeros(40)),
+            random_series(rng, 1, const=-1.5),
+            AnalyticSeries(np.zeros(5), const=2.0),
+            random_series(rng, 2048, decay=0.5),
+        ]
+        z = 0.99 * rng.uniform(0.0, 1.0, shape) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
+        rows = evaluate_stack(series, z)
+        assert rows.shape == (len(series),) + shape
+        for s, row in zip(series, rows):
+            assert row.tobytes() == np.ascontiguousarray(s.evaluate(z)).tobytes()
+
+    @pytest.mark.parametrize("live", [[], [1], [0, 2]])
+    def test_zero_rows_and_few_live_series(self, live):
+        rng = np.random.default_rng(3)
+        series = [AnalyticSeries(np.zeros(9)) for _ in range(3)]
+        for k in live:
+            series[k] = random_series(rng, 20 + k)
+        z = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
+        rows = evaluate_stack(series, z)
+        for k, s in enumerate(series):
+            assert rows[k].tobytes() == s.evaluate(z).tobytes()
+            if k not in live:
+                assert not rows[k].any()
+
+    def test_strided_and_fortran_points(self):
+        rng = np.random.default_rng(4)
+        series = [random_series(rng, 64), random_series(rng, 65, const=1.0)]
+        grid = 0.95 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (12, 20)))
+        for z in (grid[:, ::3], np.asfortranarray(grid), grid.ravel()[::7]):
+            rows = evaluate_stack(series, z)
+            for s, row in zip(series, rows):
+                assert row.tobytes() == np.ascontiguousarray(s.evaluate(z)).tobytes()
+
+    def test_outside_disk_rejected(self):
+        with pytest.raises(DomainError):
+            evaluate_stack([identity_series(3)], np.array([0.5, 1.0]))
+
+
+def circle_points(r, angles):
+    """The circle tables of harmap.geometry, rounded the same way."""
+    return r * np.exp(1j * (np.arange(angles) * (2.0 * np.pi / angles)))
+
+
+class TestCircleScan:
+    """The inverse-FFT circle scan against Horner, within its stated bound."""
+
+    RADII = (1e-3, 0.3, 0.7, 0.9, 0.98, 0.99)
+
+    @pytest.mark.parametrize("angles", [256, 1024, 2048])
+    @pytest.mark.parametrize("order", ["one", "two", "below", "equal", "above", 6000])
+    def test_within_bound_of_horner(self, order, angles):
+        order = {"one": 1, "two": 2, "below": angles // 2 + 1, "equal": angles, "above": 3 * angles + 5}.get(order, order)
+        rng = np.random.default_rng(order + angles)
+        series = (
+            random_series(rng, order, const=0.75 - 0.5j, decay=0.5),
+            AnalyticSeries(np.arange(1, order + 1) ** 2.0),  # positive terms add up at angle 0
+            AnalyticSeries(np.zeros(order)),
+        )
+        values, bound = circle_scan(series, self.RADII, angles)
+        assert values.shape == (3, len(self.RADII), angles) and bound.shape == (3, len(self.RADII))
+        assert not values[2].any() and not bound[2].any()
+        n = np.arange(1, order + 1)
+        for j, r in enumerate(self.RADII):
+            horner = evaluate_stack(series, circle_points(r, angles))
+            for k, s in enumerate(series[:2]):
+                gap = np.max(np.abs(values[k, j] - horner[k]))
+                assert gap <= bound[k, j]
+                # the bound is a few thousand roundings of the coefficient sum
+                size = abs(s.const) + np.sum(np.abs(s.coeffs) * r**n)
+                assert bound[k, j] <= 1e-10 * size
+
+    def test_folding_keeps_every_coefficient(self):
+        # z^n and z^(n + M) agree on the M-th roots of unity times r, up to r^M
+        coeffs = np.zeros(300)
+        coeffs[[2, 2 + 128, 2 + 256]] = 1.0
+        (values,), _ = circle_scan([AnalyticSeries(coeffs)], [0.5], 128)
+        z = circle_points(0.5, 128)
+        np.testing.assert_allclose(values[0], z**3 * (1 + 0.5**128 + 0.5**256), rtol=1e-14)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, 1.2, -0.5, float("nan")])
+    def test_radius_outside_the_disk_rejected(self, r):
+        with pytest.raises(DomainError):
+            circle_scan([identity_series(4)], [0.5, r], 256)
 
 
 class TestDerivative:
