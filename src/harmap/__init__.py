@@ -22,12 +22,10 @@ from .geometry import (
     DegenerateCurveError,
     GeometryReport,
     RadiusEstimate,
-    RootNotFoundError,
     SamplingGrid,
     convex_margin,
     convex_margins,
     radius_estimate,
-    smallest_positive_root,
     starlike_margin,
     starlike_margins,
     univalent_on_circle,

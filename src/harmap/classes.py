@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 from .geometry import DEFAULT_GRID, GRID_ANGLES, SamplingGrid, _winding_number
 from .harmonic import HarmonicMap
-from .series import AnalyticSeries, circle_scan
+from .series import AnalyticSeries, alexander, circle_scan
 
 #: positive-margin tolerance certifying a strict inequality on a closed grid
 STRICTNESS_TOL = 1e-9
@@ -49,6 +49,8 @@ class ClassName(str, Enum):
 
 RELATIVE_CLASSES = {ClassName.R_H0_G, ClassName.F_H0_G}
 GRID_CLASSES = {ClassName.R_H0, ClassName.W_H0, ClassName.F_H0} | RELATIVE_CLASSES
+#: the grid classes whose slack is 1 - |u - 1| - |v|
+_F_CLASSES = {ClassName.F_H0, ClassName.F_H0_G}
 
 
 class SingularReferenceError(ArithmeticError):
@@ -109,7 +111,7 @@ def _grid_slack(f: HarmonicMap, c: ClassId, z: np.ndarray) -> np.ndarray:
         if np.min(np.abs(gref)) < 1e-12 or abs(_winding_number(gref, 0.0)) > 0.5:
             raise SingularReferenceError("reference derivative vanishes on or inside the certifying circle")
         u, v = u / gref, v / gref
-    if c.name in (ClassName.F_H0, ClassName.F_H0_G):
+    if c.name in _F_CLASSES:
         return 1.0 - np.abs(u - 1.0) - np.abs(v)
     return np.real(u) - np.abs(v)
 
@@ -229,6 +231,14 @@ def coefficient_bound_check(f: HarmonicMap, c: ClassId, n_max: int) -> BoundChec
     return BoundCheckReport(gaps, bounds, violations)
 
 
+def _normalized(a, b) -> HarmonicMap:
+    """The map with h = z + sum a_n z^n and g = sum b_n z^n, n = 2, 3, ..."""
+    h, g = np.zeros((2, len(a) + 1), dtype=np.complex128)
+    h[0] = 1.0
+    h[1:], g[1:] = a, b
+    return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+
+
 def _split_complex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
@@ -241,18 +251,13 @@ def _sample_coefficient_class(c: ClassId, rng: np.random.Generator, order: int) 
     total = float(np.sum(weight * (np.abs(raw_a) + np.abs(raw_b))))
     target = rng.uniform(0.3, 1.0)
     scale = target / total
-    h = np.zeros(order, dtype=np.complex128)
-    g = np.zeros(order, dtype=np.complex128)
-    h[0] = 1.0
-    h[1:] = raw_a * scale
-    g[1:] = raw_b * scale
-    return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+    return _normalized(raw_a * scale, raw_b * scale)
 
 
 def _grid_scale(name: ClassName, grid: SamplingGrid, q: np.ndarray, p: np.ndarray, target: float) -> float:
     """The scale s that puts the circle slack of 1 + s*q, s*p at ``target``, from the circle scan."""
     (qv, pv), _ = circle_scan((AnalyticSeries(q), AnalyticSeries(p)), (grid.radius,), GRID_ANGLES)
-    if name in (ClassName.F_H0, ClassName.F_H0_G):
+    if name in _F_CLASSES:
         worst = float(np.max(np.abs(qv) + np.abs(pv)))
         return (1.0 - target) / worst
     worst = float(np.min(np.real(qv) - np.abs(pv)))
@@ -274,17 +279,11 @@ def _sample_derivative_class(c: ClassId, rng: np.random.Generator, order: int) -
         gp_poly = np.concatenate(([gp.const], gp.coeffs))
         hp_poly = np.convolve(gp_poly, np.concatenate(([1.0], s * q)))[:order]
         gg_poly = np.convolve(gp_poly, np.concatenate(([0.0], s * p)))[:order]
-        nn = np.arange(1, order + 1)
-        return HarmonicMap(AnalyticSeries(hp_poly / nn), AnalyticSeries(gg_poly / nn))
+        return HarmonicMap(alexander(AnalyticSeries(hp_poly)), alexander(AnalyticSeries(gg_poly)))
 
     # h' + z h'' has coefficients n^2 a_n
     denom = np.arange(2, order + 1).astype(float) ** (2 if c.name is ClassName.W_H0 else 1)
-    h = np.zeros(order, dtype=np.complex128)
-    g = np.zeros(order, dtype=np.complex128)
-    h[0] = 1.0
-    h[1:] = s * q / denom
-    g[1:] = s * p / denom
-    return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+    return _normalized(s * q / denom, s * p / denom)
 
 
 def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
@@ -317,11 +316,7 @@ def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
         raw = rng.standard_normal(n.size) / n**2
         target = rng.uniform(0.3, 1.0)
         raw *= target / np.sum(n * np.abs(raw))
-        h = np.zeros(order, dtype=np.complex128)
-        h[0] = 1.0
-        h[1:] = raw
-        g = np.zeros(order, dtype=np.complex128)
-        return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+        return _normalized(raw, 0.0)
     if c.name in GRID_CLASSES:
         return _sample_derivative_class(c, rng, order)
     raise ValueError(f"cannot sample class {c.name.value}")

@@ -16,9 +16,9 @@ from those Horner values and the refinement, bit for bit as if each
 whole circle had been evaluated by Horner.  That costs one FFT and
 Horner at a few points per circle instead of Horner at all of them.
 Positive margins certify the property on that circle.  Radius
-estimation and the polynomial root finder both locate a sign change by
-a scan followed by the one bisection, ``_bisect``.  A ``SamplingGrid`` is the one circle,
-of ``GRID_ANGLES`` points, that a class certificate of
+estimation locates the first radius where a property fails by a scan
+followed by bisection.  A ``SamplingGrid`` is the one circle, of
+``GRID_ANGLES`` points, that a class certificate of
 :mod:`harmap.classes` samples.
 """
 
@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .harmonic import HarmonicMap, eval_map, jacobian
 from .series import EPS, AnalyticSeries, circle_scan, evaluate_stack
@@ -56,10 +55,6 @@ PAIR_CHUNK = 1 << 16
 
 class DegenerateCurveError(ArithmeticError):
     """The image curve or its tangent vanished at a sample point."""
-
-
-class RootNotFoundError(ArithmeticError):
-    """No sign change was bracketed in the search interval."""
 
 
 @dataclass(frozen=True)
@@ -455,26 +450,16 @@ def _property_predicate(f: HarmonicMap, prop: str):
     raise ValueError(f"unknown property {prop!r}")
 
 
-def _bisect(holds, lo: float, hi: float, width: float) -> tuple[float, float]:
-    """Halve [lo, hi] until hi - lo <= width, keeping holds(lo) true and holds(hi) false."""
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
 def radius_estimate(f: HarmonicMap, prop: str, tol: float = 1e-4) -> RadiusEstimate:
     """Empirical property radius: scan ``RADIUS_SCAN_RADII``, then bisect.
 
     The estimate brackets the first sign change after the largest prefix
     of passing radii; margins need not be monotone in r, so the scan
-    order (ascending, first failure wins) is part of the contract.  If
-    no scanned radius fails the degenerate full-disk estimate 1 is
-    returned.  ``tol`` must be positive and finite (``ValueError``
-    otherwise).
+    order (ascending, first failure wins) is part of the contract.
+    Bisection stops at hi - lo <= 2 * ``tol``, or at two adjacent doubles,
+    whose midpoint rounds onto an endpoint.  If no scanned radius fails
+    the degenerate full-disk estimate 1 is returned.  ``tol`` must be
+    positive and finite (``ValueError`` otherwise).
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
@@ -483,40 +468,15 @@ def radius_estimate(f: HarmonicMap, prop: str, tol: float = 1e-4) -> RadiusEstim
         raise ValueError(f"property {prop!r} fails already at the smallest grid radius")
     for lo, hi in zip(RADIUS_SCAN_RADII, RADIUS_SCAN_RADII[1:]):
         if not holds(hi):
-            return RadiusEstimate(prop, *_bisect(holds, lo, hi, 2.0 * tol), tol)
-    return RadiusEstimate(prop, 1.0, 1.0, tol)
-
-
-def smallest_positive_root(poly_coeffs) -> float:
-    """First root of the polynomial in the open interval (0, 1).
-
-    ``poly_coeffs`` are ascending (constant term first).  A scan in steps
-    of 1e-3 locates the first sign change, which bisection then narrows
-    to 1e-12; roots exactly at 0 or 1 are excluded, and a zero met
-    exactly on the way is returned as it is.
-    """
-    coeffs = np.asarray(poly_coeffs, dtype=np.float64)
-
-    def p(x):
-        return polyval(x, coeffs)
-
-    xs = np.arange(0.0, 1.0005, 1e-3)
-    vals = p(xs)
-    for x, v in zip(xs[1:-1], vals[1:-1]):
-        if v == 0.0:
-            return float(x)
-    changes = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    if not changes.size:
-        raise RootNotFoundError("no sign change in (0, 1)")
-    k = changes[0]
-    side = np.sign(vals[k])
-    zeros = []
-
-    def before_root(x) -> bool:
-        value = p(x)
-        if value == 0.0:
-            zeros.append(x)
-        return np.sign(value) == side
-
-    lo, hi = _bisect(before_root, xs[k], xs[k + 1], 1e-12)
-    return float(zeros[0]) if zeros else 0.5 * (lo + hi)
+            break
+    else:
+        return RadiusEstimate(prop, 1.0, 1.0, tol)
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return RadiusEstimate(prop, lo, hi, tol)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import COEFF_TOL, AnalyticSeries, DomainError, alexander, convolve, linear_combine
+from .series import COEFF_TOL, AnalyticSeries, alexander, convolve, linear_combine
 
 SLICE_MODULUS_TOL = 1e-12
 
@@ -70,10 +70,7 @@ def eval_map(f: HarmonicMap, z):
 
 
 def jacobian(f: HarmonicMap, z):
-    """|h'(z)|^2 - |g'(z)|^2; positive iff sense-preserving at z."""
-    z = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("Jacobian requires |z| < 1")
+    """|h'(z)|^2 - |g'(z)|^2 for |z| < 1; positive iff sense-preserving at z."""
     hp = f.h.derivative().evaluate(z)
     gp = f.g.derivative().evaluate(z)
     out = np.abs(hp) ** 2 - np.abs(gp) ** 2

@@ -17,6 +17,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .catalog import CatalogTag, eval_closed, make
 from .classes import (
@@ -30,7 +31,6 @@ from .classes import (
 from .geometry import (
     convex_margins,
     radius_estimate,
-    smallest_positive_root,
     starlike_margin,
     starlike_margins,
     univalent_on_circle,
@@ -41,6 +41,7 @@ from .harmonic import (
     alexander_plus,
     analytic_map,
     convex_combination,
+    eval_map,
     harmonic_convolve,
     slice_map,
     tilde_convolve,
@@ -116,7 +117,8 @@ class _Recorder:
 
     def pairs(self, cid: ClassId, seed: int, count: int):
         """Member pairs drawn lazily at seeds (seed + 2k, seed + 2k + 1), k < count."""
-        return ((sample_member(cid, seed + 2 * k), sample_member(cid, seed + 2 * k + 1)) for k in range(count))
+        stream = self.members(cid, seed, 2 * count)
+        return zip(stream, stream)
 
     def close(self, description: str, measured: float, expected: float, tol: float) -> None:
         ok = abs(measured - expected) <= tol
@@ -208,6 +210,11 @@ def _re_half_reference() -> AnalyticSeries:
     return AnalyticSeries(np.concatenate(([1.0], 0.45 * (0.5 ** (n - 1)) / n)))
 
 
+#: 1/2 log((1+z)/(1-z)), the integral of 1/(1-z^2), maps the disk onto a strip:
+#: a convex closure kernel, as Re(1 + z phi''/phi') = Re (1+z^2)/(1-z^2) > 0
+_STRIP_KERNEL = alexander(AnalyticSeries(np.arange(1, 65) % 2))
+
+
 # ----------------------------------------------------------------- suites
 
 def _suite_t2_5(rec: _Recorder, seed: int) -> None:
@@ -229,11 +236,12 @@ def _suite_t2_5(rec: _Recorder, seed: int) -> None:
             rec.members(cid, seed, CLASS_SAMPLES),
             violation,
         )
-    for tag, rule in [(CatalogTag.MACGREGOR_R, 1), (CatalogTag.CHICHRA_W, 2)]:
-        f = make(tag, 64)
-        n = np.arange(2, 33)
-        gaps = np.abs(np.abs(f.h.coeffs[1:32]) - np.abs(f.g.coeffs[1:32]))
-        dev = float(np.max(np.abs(gaps - 2.0 / n**rule)))
+    for tag, name, rule in [
+        (CatalogTag.MACGREGOR_R, ClassName.R_H0, 1),
+        (CatalogTag.CHICHRA_W, ClassName.W_H0, 2),
+    ]:
+        report = coefficient_bound_check(make(tag, 64), ClassId(name), n_max=32)
+        dev = float(np.max(np.abs(report.gaps - report.bounds)))
         rec.close(f"{tag.value}: gap equals 2/n^{rule} for n<=32 [exact]", dev, 0.0, 1e-12)
     for tag, val in [(CatalogTag.U_SHARP, 0.5), (CatalogTag.V_SHARP, 0.25)]:
         f = make(tag, 8)
@@ -350,10 +358,10 @@ def _suite_t2_11(rec: _Recorder, seed: int) -> None:
 
     cid = ClassId(ClassName.R_H0)
     rec.counted(
-        f"R_H0 closed under the product with the convex half-plane kernel, "
+        f"R_H0 closed under the product with the convex strip kernel, "
         f"{CLASS_SAMPLES} members [sampled]",
         rec.members(cid, seed, CLASS_SAMPLES),
-        lambda f: _rejection(tilde_convolve(phi, f), cid, f),
+        lambda f: _rejection(tilde_convolve(_STRIP_KERNEL, f), cid, f),
     )
 
 
@@ -413,23 +421,14 @@ def _suite_r2_14(rec: _Recorder, seed: int) -> None:
 
 
 def _suite_t2_16(rec: _Recorder, seed: int) -> None:
-    K = make(CatalogTag.HARMONIC_KOEBE, 64)
     n = np.arange(2, 33)
-    gaps = np.abs(K.h.coeffs[1:32]) - np.abs(K.g.coeffs[1:32])
-    rec.close(
-        "harmonic extremal coefficient gaps equal n for n<=32 [exact]",
-        float(np.max(np.abs(gaps - n))),
-        0.0,
-        1e-12,
-    )
-    L = make(CatalogTag.HARMONIC_HALF_PLANE, 64)
-    gapsL = np.abs(L.h.coeffs[1:32]) - np.abs(L.g.coeffs[1:32])
-    rec.close(
-        "half-plane extremal coefficient gaps equal 1 for n<=32 [exact]",
-        float(np.max(np.abs(gapsL - 1.0))),
-        0.0,
-        1e-12,
-    )
+    for tag, label, gap in [
+        (CatalogTag.HARMONIC_KOEBE, "harmonic extremal coefficient gaps equal n", n),
+        (CatalogTag.HARMONIC_HALF_PLANE, "half-plane extremal coefficient gaps equal 1", 1.0),
+    ]:
+        f = make(tag, 64)
+        gaps = np.abs(f.h.coeffs[1:32]) - np.abs(f.g.coeffs[1:32])
+        rec.close(f"{label} for n<=32 [exact]", float(np.max(np.abs(gaps - gap))), 0.0, 1e-12)
     for r in (0.25, 0.5, 0.75):
         rec.close(
             f"growth sharpness |k(r)| = r/(1-r)^2 at r={r} [exact]",
@@ -521,13 +520,9 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
         lambda pair: _rejection(harmonic_convolve(*pair), cid, pair[0]),
     )
 
-    phi_half = make(CatalogTag.HALF_PLANE, 64).h
-    n = np.arange(1, 65, dtype=np.float64)
-    c = np.zeros(64, dtype=np.complex128)
-    c[0] = 1.0
-    c[1:] = 0.45 * (0.5 ** (n[1:] - 1))  # sum of moduli < 1/2: Re phi/z > 1/2
-    phi_cheby = AnalyticSeries(c)
-    for phi, label in [(phi_half, "convex kernel"), (phi_cheby, "Re phi/z > 1/2 kernel")]:
+    # sum of moduli < 1/2: Re phi/z > 1/2
+    phi_cheby = AnalyticSeries(np.concatenate(([1.0], 0.45 * 0.5 ** np.arange(1, 64))))
+    for phi, label in [(_STRIP_KERNEL, "convex kernel"), (phi_cheby, "Re phi/z > 1/2 kernel")]:
         rec.counted(
             f"closed under product with {label}, {PAIR_SAMPLES} members [sampled]",
             rec.members(cid, seed + 5000, PAIR_SAMPLES),
@@ -629,8 +624,6 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
         1.0 + 1e-12,
     )
 
-    phi = make(CatalogTag.HALF_PLANE, 64).h
-
     rec.counted(
         "convex kernel preserves both classes [sampled]",
         (
@@ -638,7 +631,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
             for k in range(PAIR_SAMPLES)
             for offset, cid in ((400000, u_cid), (500000, v_cid))
         ),
-        lambda item: _rejection(tilde_convolve(phi, item[0]), item[1], item[0]),
+        lambda item: _rejection(tilde_convolve(_STRIP_KERNEL, item[0]), item[1], item[0]),
     )
 
     worst_conv = _worst(
@@ -660,7 +653,7 @@ def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     h = np.zeros(16, dtype=np.complex128)
     h[0] = 1.0
     h[1] = 0.2 + 0.1j
-    bad = HarmonicMap(AnalyticSeries(h), AnalyticSeries(np.zeros(16, dtype=np.complex128)))
+    bad = analytic_map(AnalyticSeries(h))
     res = membership(bad, cid)
     rec.boolean("complex coefficient rejected [exact]", res.is_member, False)
     rec.boolean("witness points at the offending index [exact]", res.witness == 2, True)
@@ -724,15 +717,7 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
         (CatalogTag.ALEXANDER_PLUS_L, CatalogTag.HARMONIC_HALF_PLANE),
     ]:
         mapped = alexander_plus(make(base_tag, 400))
-        dev = float(
-            np.max(
-                np.abs(
-                    mapped.h.evaluate(zs)
-                    + np.conj(mapped.g.evaluate(zs))
-                    - eval_closed(tag, zs)
-                )
-            )
-        )
+        dev = float(np.max(np.abs(eval_map(mapped, zs) - eval_closed(tag, zs))))
         rec.at_most(f"series for {tag.value} agrees with its closed form, |z|<=0.9 [oracle]", dev, 1e-6)
     rec.close(
         "closed form of the transformed half-plane map at z=0.5 [oracle]",
@@ -822,11 +807,11 @@ def _suite_t4_7(rec: _Recorder, seed: int) -> None:
 
 
 def _suite_t4_8(rec: _Recorder, seed: int) -> None:
-    quartic = [-4.0, 4.0, 13.0, 2.0, 1.0]
-    root = smallest_positive_root(quartic)
-    (r_np,) = [r.real for r in np.roots(quartic[::-1]) if r.imag == 0.0 and 0.0 < r.real < 1.0]
+    quartic = (1.0, 2.0, 13.0, 4.0, -4.0)  # r^4 + 2r^3 + 13r^2 + 4r - 4: p(0) < 0 < p(1)
+    root = brentq(partial(np.polyval, quartic), 0.0, 1.0, xtol=1e-15)
+    (r_np,) = [r.real for r in np.roots(quartic) if r.imag == 0.0 and 0.0 < r.real < 1.0]
     rec.close("quartic root agrees with numpy.roots [oracle]", root, r_np, 1e-11)
-    residual = abs(np.polyval(quartic[::-1], root))
+    residual = abs(np.polyval(quartic, root))
     rec.at_most("quartic residual at the root [oracle]", float(residual), 1e-10)
 
     configs = [

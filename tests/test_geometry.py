@@ -15,13 +15,11 @@ from harmap.geometry import (
     MARGIN_ANGLES,
     PAIR_CHUNK,
     DegenerateCurveError,
-    RootNotFoundError,
     GRID_ANGLES,
     SamplingGrid,
     convex_margin,
     convex_margins,
     radius_estimate,
-    smallest_positive_root,
     starlike_margin,
     starlike_margins,
     _circle,
@@ -560,6 +558,13 @@ class TestRadiusEstimate:
         est = radius_estimate(identity_map(), "starlike", tol=1e-3)
         assert est.value == 1.0
 
+    def test_tolerance_below_double_spacing_ends_at_adjacent_doubles(self):
+        # below the spacing of doubles the midpoint of the last bracket rounds
+        # onto an endpoint, so halving until hi - lo <= 2 tol would not end
+        est = radius_estimate(make(CatalogTag.KOEBE, 64), "convex", tol=1e-300)
+        assert est.hi == np.nextafter(est.lo, 1.0)
+        assert est.lo == pytest.approx(2 - math.sqrt(3), abs=1e-3)
+
     def test_macgregor_convexity_one_sided(self):
         est = radius_estimate(make(CatalogTag.MACGREGOR_R, 256), "convex", tol=1e-4)
         assert est.value >= math.sqrt(2) - 1 - 1e-3
@@ -586,97 +591,6 @@ class TestRadiusEstimate:
         assert starlike_margin(f, 0.05).min_margin < 0
         with pytest.raises(ValueError, match="smallest grid radius"):
             radius_estimate(f, "starlike", tol=1e-3)
-
-
-def scan_bisect_root(poly_coeffs, scan_step=1e-3, tol=1e-12):
-    """Reference root finder: the same scan, then a bisection loop of its own."""
-    coeffs = np.asarray(poly_coeffs, dtype=np.float64)
-
-    def p(x):
-        return np.polynomial.polynomial.polyval(x, coeffs)
-
-    xs = np.arange(0.0, 1.0 + scan_step / 2, scan_step)
-    vals = p(xs)
-    for x, v in zip(xs[1:-1], vals[1:-1]):
-        if v == 0.0:
-            return float(x)
-    bracket = None
-    for k in range(len(xs) - 1):
-        if vals[k] * vals[k + 1] < 0.0:
-            bracket = (xs[k], xs[k + 1])
-            break
-    if bracket is None:
-        raise RootNotFoundError("no sign change in (0, 1)")
-    lo, hi = bracket
-    flo = p(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        fm = p(mid)
-        if fm == 0.0:
-            return float(mid)
-        if flo * fm < 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def root_or_none(finder, coeffs):
-    try:
-        return finder(coeffs)
-    except RootNotFoundError:
-        return None
-
-
-class TestRootFinding:
-    def test_matches_the_scan_bisect_reference_bitwise(self):
-        rng = np.random.default_rng(20)
-        polys = []
-        for _ in range(600):
-            # a random factor times (x - r), r in (0, 1): a root is always bracketed
-            factor = rng.standard_normal(rng.integers(1, 7))
-            polys.append(np.polynomial.polynomial.polymul(factor, [-rng.uniform(0.0, 1.0), 1.0]))
-        polys += [rng.standard_normal(rng.integers(2, 9)) for _ in range(400)]
-        # roots at bisection midpoints are met exactly: x - m vanishes at m
-        xs = np.arange(0.0, 1.0005, 1e-3)
-        for k in rng.integers(0, 1000, 50):
-            lo, hi = xs[k], xs[k + 1]
-            for _ in range(rng.integers(1, 6)):
-                mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if rng.random() < 0.5 else (mid, hi)
-            polys.append([-0.5 * (lo + hi), 1.0])
-        found = 0
-        for coeffs in polys:
-            got = root_or_none(smallest_positive_root, coeffs)
-            want = root_or_none(scan_bisect_root, coeffs)
-            if want is None:
-                assert got is None
-                continue
-            found += 1
-            assert type(got) is type(want)
-            assert float(got).hex() == float(want).hex()
-        assert found > 700
-
-    def test_quartic_root(self):
-        coeffs = [-4.0, 4.0, 13.0, 2.0, 1.0]
-        root = smallest_positive_root(coeffs)
-        assert 0.40 < root < 0.42
-        assert abs(np.polyval(coeffs[::-1], root)) < 1e-10
-        # independent oracle: companion-matrix roots
-        np_roots = np.roots(coeffs[::-1])
-        target = min(r.real for r in np_roots if abs(r.imag) < 1e-9 and 0 < r.real < 1)
-        assert root == pytest.approx(target, abs=1e-10)
-
-    def test_simple_quadratic(self):
-        assert smallest_positive_root([-0.25, 0.0, 1.0]) == pytest.approx(0.5, abs=1e-12)
-
-    def test_endpoint_root_excluded(self):
-        with pytest.raises(RootNotFoundError):
-            smallest_positive_root([-1.0, 1.0])  # root exactly at x = 1
-
-    def test_no_root(self):
-        with pytest.raises(RootNotFoundError):
-            smallest_positive_root([1.0, 1.0])
 
 
 class TestSamplingGrid:

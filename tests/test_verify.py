@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from harmap import verify
+from harmap.harmonic import tilde_convolve
 from harmap.classes import ClassId, ClassName, MembershipResult, sample_member
 from harmap.verify import SuiteReport, _Recorder, run_suite, suite_ids
 
@@ -141,3 +144,48 @@ class TestMembershipWitnesses:
         for check in counted:
             assert not check.passed
             assert check.measured.endswith("margin=-2.500e-01)")
+
+
+class TestClosureKernels:
+    def test_each_closure_kernel_changes_a_drawn_member(self, tmp_path, monkeypatch):
+        # the [exact] identity check of T2.11 applies the all-ones series to
+        # one map on purpose; every kernel applied to several maps is a
+        # closure kernel, and one that changes no member tests nothing
+        monkeypatch.setattr(verify, "CLASS_SAMPLES", 8)
+        monkeypatch.setattr(verify, "PAIR_SAMPLES", 8)
+        monkeypatch.setattr(verify, "RADIUS_MEMBERS", 2)
+        uses, changed = {}, {}
+
+        def recording(phi, f):
+            out = tilde_convolve(phi, f)
+            key = phi.coeffs.tobytes()
+            uses[key] = uses.get(key, 0) + 1
+            moved = not (np.array_equal(out.h.coeffs, f.h.coeffs) and np.array_equal(out.g.coeffs, f.g.coeffs))
+            changed[key] = changed.get(key, False) or moved
+            return out
+
+        monkeypatch.setattr(verify, "tilde_convolve", recording)
+        for suite_id in ("T2.11", "T3.5", "T3.9"):
+            assert run_suite(suite_id, 42, tmp_path).passed
+        kernels = [key for key, count in uses.items() if count > 1]
+        assert len(kernels) >= 3
+        assert all(changed[key] for key in kernels)
+
+
+class TestQuarticRoot:
+    def test_t4_8_root_agrees_with_numpy_roots(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(verify, "RADIUS_MEMBERS", 2)
+        found = []
+
+        def recording(p, a, b, **options):
+            root = brentq(p, a, b, **options)
+            found.append((p, root))
+            return root
+
+        monkeypatch.setattr(verify, "brentq", recording)
+        assert run_suite("T4.8", 42, tmp_path).passed
+        ((p, root),) = found
+        assert (p(0.0), p(1.0)) == (-4.0, 16.0)
+        (want,) = [r.real for r in np.roots([1, 2, 13, 4, -4]) if r.imag == 0.0 and 0.0 < r.real < 1.0]
+        assert abs(root - want) <= 1e-15
+        assert p(root - 1e-15) < 0.0 < p(root + 1e-15)
