@@ -145,7 +145,7 @@ def eval_closed(tag, z):
     """Exact value of the tagged map at z, |z| < 1 (principal log branch)."""
     tag = _as_tag(tag)
     zz = np.asarray(z, dtype=np.complex128)
-    if np.any(np.abs(zz) >= 1.0):
-        raise DomainError("closed-form evaluation requires |z| < 1")
+    if not np.all(np.abs(zz) < 1.0):
+        raise DomainError("closed-form evaluation requires finite z with |z| < 1")
     out = np.asarray(_CLOSED_FORMS[tag](zz), dtype=np.complex128)
     return complex(out) if out.ndim == 0 else out

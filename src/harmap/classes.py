@@ -19,11 +19,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import spence
 
 from .geometry import DEFAULT_GRID, GRID_ANGLES, SamplingGrid, _winding_number
 from .harmonic import HarmonicMap
-from .series import AnalyticSeries, alexander, circle_scan
+from .series import AnalyticSeries, circle_scan
 
 #: positive-margin tolerance certifying a strict inequality on a closed grid
 STRICTNESS_TOL = 1e-9
@@ -167,23 +167,14 @@ def _upper_R(r: float) -> float:
     return math.inf if r >= 1.0 else -r - 2.0 * math.log1p(-r)
 
 
-def _log_ratio(sign: float):
-    def integrand(t: float) -> float:
-        if t == 0.0:
-            return 1.0 if sign > 0 else -1.0
-        return math.log1p(sign * t) / t
-
-    return integrand
-
-
+# the W_H0 envelopes are -r - 2 Li2(-r) and -r + 2 Li2(r), with the
+# dilogarithm Li2(x) = spence(1 - x)
 def _lower_W(r: float) -> float:
-    val, _ = quad(_log_ratio(+1.0), 0.0, r)
-    return -r + 2.0 * val
+    return -r - 2.0 * float(spence(1.0 + r))
 
 
 def _upper_W(r: float) -> float:
-    val, _ = quad(_log_ratio(-1.0), 0.0, r)
-    return -r - 2.0 * val
+    return -r + 2.0 * float(spence(1.0 - r))
 
 
 _ENVELOPES: dict[ClassName, tuple[Callable[[float], float], Callable[[float], float]]] = {
@@ -221,6 +212,8 @@ def coefficient_bound_check(f: HarmonicMap, c: ClassId, n_max: int) -> BoundChec
         raise ValueError(f"no coefficient bound table for class {c.name.value}")
     if n_max > f.order:
         raise ValueError(f"n_max {n_max} exceeds truncation {f.order}")
+    if n_max < 2:
+        raise ValueError(f"n_max must be at least 2, got {n_max}")
     ns = np.arange(2, n_max + 1)
     gaps = np.abs(np.abs(f.h.coeffs[1:n_max]) - np.abs(f.g.coeffs[1:n_max]))
     bounds = np.array([_GAP_BOUNDS[c.name](int(n)) for n in ns])
@@ -271,19 +264,16 @@ def _sample_derivative_class(c: ClassId, rng: np.random.Generator, order: int) -
     q = _split_complex(rng, m.size) / m**2
     p = 0.4 * _split_complex(rng, m.size) / m**2
     s = _grid_scale(c.name, _certifying_grid(c), q, p, rng.uniform(0.1, 0.7))
-
+    u, v = np.concatenate(([1.0], s * q)), np.concatenate(([0.0], s * p))
     if c.reference_map is not None:
-        # relative classes: multiply the derivative data through G' so the
-        # ratio h'/G' is exactly 1 + s*q at every point of the disk
+        # relative classes: multiply the pair through G' so the ratio
+        # h'/G' is exactly 1 + s*q at every point of the disk
         gp = c.reference_map.derivative()
         gp_poly = np.concatenate(([gp.const], gp.coeffs))
-        hp_poly = np.convolve(gp_poly, np.concatenate(([1.0], s * q)))[:order]
-        gg_poly = np.convolve(gp_poly, np.concatenate(([0.0], s * p)))[:order]
-        return HarmonicMap(alexander(AnalyticSeries(hp_poly)), alexander(AnalyticSeries(gg_poly)))
-
-    # h' + z h'' has coefficients n^2 a_n
-    denom = np.arange(2, order + 1).astype(float) ** (2 if c.name is ClassName.W_H0 else 1)
-    return _normalized(s * q / denom, s * p / denom)
+        u, v = (np.convolve(gp_poly, w)[:order] for w in (u, v))
+    # h' has coefficients n a_n, and h' + z h'' has n^2 a_n
+    n = np.arange(1, order + 1) ** (2 if c.name is ClassName.W_H0 else 1)
+    return HarmonicMap(AnalyticSeries(u / n), AnalyticSeries(v / n))
 
 
 def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:

@@ -134,13 +134,6 @@ def _check_radius(r: float) -> None:
         raise ValueError(f"circle radius must lie in (0, 1), got {r}")
 
 
-def _checked_radii(radii) -> tuple:
-    radii = tuple(radii)
-    for r in radii:
-        _check_radius(r)
-    return radii
-
-
 def _refine_minimum(fn, b: float, h: float, fa: float, fb: float, fc: float):
     """Smallest evaluated value of fn in [b - h, b + h], given fn(b) <= fn(b -+ h).
 
@@ -313,9 +306,10 @@ def starlike_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
     ``witness_angle`` in [0, 2*pi).  The series are evaluated once on all
     the circles together, and each report is bit-identical to the same
     circle taken alone; a curve through the origin raises for the first
-    such radius in order.
+    such radius in order.  A radius outside (0, 1) raises ``DomainError``
+    from :func:`circle_scan`.
     """
-    radii = _checked_radii(radii)
+    radii = tuple(radii)
     series = (f.h, f.h.derivative(), f.g, f.g.derivative())
     minima = _circle_minima(_STARLIKE, series, radii)
     return [GeometryReport("starlike", r, v, t) for r, (v, t) in zip(radii, minima)]
@@ -335,7 +329,7 @@ def convex_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
     the reports and the evaluation are as in :func:`starlike_margins`; a
     vanishing tangent raises for the first such radius in order.
     """
-    radii = _checked_radii(radii)
+    radii = tuple(radii)
     hp, gp = f.h.derivative(), f.g.derivative()
     series = (hp, hp.derivative(), gp, gp.derivative())
     minima = _circle_minima(_CONVEX, series, radii)

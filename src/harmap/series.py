@@ -104,8 +104,8 @@ class AnalyticSeries:
 
 
 def _check_disk(z: np.ndarray) -> None:
-    if np.any(np.abs(z) >= 1.0):
-        raise DomainError("series evaluation requires |z| < 1")
+    if not np.all(np.abs(z) < 1.0):
+        raise DomainError("series evaluation requires finite z with |z| < 1")
 
 
 def _horner(rows, z, acc):

@@ -94,6 +94,12 @@ class TestClosedForms:
         with pytest.raises(DomainError):
             eval_closed(CatalogTag.KOEBE, 1.0 + 0j)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_non_finite_points_rejected(self, z):
+        for points in (z, np.array([0.5, z])):
+            with pytest.raises(DomainError):
+                eval_closed(CatalogTag.KOEBE, points)
+
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             eval_closed("bogus", 0.1)

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import spence
@@ -217,6 +218,10 @@ class TestCoefficientBounds:
         f = make(CatalogTag.KOEBE, 8)
         with pytest.raises(ValueError):
             coefficient_bound_check(f, ClassId(ClassName.R_H0), 9)
+        # a slice end below 2 would count from the end of the coefficients
+        for n_max in (-3, 0, 1):
+            with pytest.raises(ValueError, match=f"at least 2, got {n_max}$"):
+                coefficient_bound_check(make(CatalogTag.MACGREGOR_R, 5), ClassId(ClassName.R_H0), n_max)
 
     @pytest.mark.parametrize("name", [ClassName.F_H0, ClassName.S_R, ClassName.F_H0_G])
     def test_class_without_gap_bound(self, name):
@@ -234,13 +239,17 @@ class TestGrowthEnvelope:
     def test_W_limit_quadrature_vs_dilogarithm(self):
         lo, _ = growth_envelope(ClassId(ClassName.W_H0), 1.0)
         assert lo == pytest.approx(math.pi**2 / 6 - 1, abs=1e-6)
-        # independent oracle at an interior radius: the integrals are
-        # dilogarithms, int_0^r log(1+t)/t dt = -Li2(-r)
+        # independent oracles: the envelopes are -r - 2 Li2(-r) and
+        # -r + 2 Li2(r), here from scipy's complex dilogarithm and mpmath
         r = 0.7
         lo_r, hi_r = growth_envelope(ClassId(ClassName.W_H0), r)
         li2 = lambda x: float(np.real(spence(complex(1 - x, 0))))
         assert lo_r == pytest.approx(-r - 2 * li2(-r), abs=1e-10)
         assert hi_r == pytest.approx(-r + 2 * li2(r), abs=1e-10)
+        for r in (0.01, 0.3, 0.7, 0.97, 1.0):
+            lo_r, hi_r = growth_envelope(ClassId(ClassName.W_H0), r)
+            assert lo_r == pytest.approx(float(-r - 2 * mpmath.polylog(2, -r)), rel=1e-14, abs=0.0)
+            assert hi_r == pytest.approx(float(-r + 2 * mpmath.polylog(2, r)), rel=1e-14, abs=0.0)
 
     def test_U_V_limits(self):
         assert growth_envelope(ClassId(ClassName.U_H0), 1.0)[0] == 0.5

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -105,6 +106,13 @@ class TestJacobian:
     def test_harmonic_koebe_at_origin(self):
         K = make(CatalogTag.HARMONIC_KOEBE, 16)
         assert jacobian(K, 0.0) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, complex(math.nan, 0.0)])
+    def test_non_finite_points_rejected(self, z):
+        K = make(CatalogTag.HARMONIC_KOEBE, 8)
+        for points in (z, np.array([0.5, z])):
+            with pytest.raises(DomainError):
+                jacobian(K, points)
 
     def test_sense_preserving_catalog_members(self):
         zs = np.concatenate([r * np.exp(2j * np.pi * np.arange(64) / 64) for r in (0.3, 0.6, 0.9)])

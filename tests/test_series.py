@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -62,10 +64,14 @@ class TestEvaluate:
         assert vals.shape == (3,)
         assert vals[0] == pytest.approx(s.evaluate(0.1))
 
-    @pytest.mark.parametrize("z", [1.0, -1.0, 1.2, 1j])
+    @pytest.mark.parametrize(
+        "z", [1.0, -1.0, 1.2, 1j, math.nan, math.inf, complex(math.nan, 0.0), complex(0.0, math.nan)]
+    )
     def test_outside_disk_rejected(self, z):
-        with pytest.raises(DomainError):
-            identity_series(4).evaluate(z)
+        # a scalar and a point inside an array; NaN compares false both ways
+        for points in (z, np.array([0.5, z])):
+            with pytest.raises(DomainError):
+                identity_series(4).evaluate(points)
 
     @pytest.mark.parametrize("order", [1, 8, 400, 1536])
     def test_array_path_matches_reference_recurrence(self, order):
@@ -187,8 +193,9 @@ class TestEvaluateStack:
                 assert row.tobytes() == np.ascontiguousarray(s.evaluate(z)).tobytes()
 
     def test_outside_disk_rejected(self):
-        with pytest.raises(DomainError):
-            evaluate_stack([identity_series(3)], np.array([0.5, 1.0]))
+        for z in (1.0, math.nan, math.inf, complex(math.nan, 0.0)):
+            with pytest.raises(DomainError):
+                evaluate_stack([identity_series(3)], np.array([0.5, z]))
 
 
 def circle_points(r, angles):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import harmap
 from harmap import verify
 from harmap.harmonic import tilde_convolve
 from harmap.classes import ClassId, ClassName, MembershipResult, sample_member
@@ -173,19 +180,25 @@ class TestClosureKernels:
 
 
 class TestQuarticRoot:
-    def test_t4_8_root_agrees_with_numpy_roots(self, tmp_path, monkeypatch):
+    def test_t4_8_root_agrees_with_brentq(self, tmp_path, monkeypatch):
         monkeypatch.setattr(verify, "RADIUS_MEMBERS", 2)
-        found = []
+        floors = {}
+        relative_floors = verify._relative_floors
 
-        def recording(p, a, b, **options):
-            root = brentq(p, a, b, **options)
-            found.append((p, root))
-            return root
+        def recording(rec, seed, name, floor, configs):
+            floors.update((label, bound) for label, _, bound in configs)
+            relative_floors(rec, seed, name, floor, configs)
 
-        monkeypatch.setattr(verify, "brentq", recording)
+        monkeypatch.setattr(verify, "_relative_floors", recording)
         assert run_suite("T4.8", 42, tmp_path).passed
-        ((p, root),) = found
-        assert (p(0.0), p(1.0)) == (-4.0, 16.0)
-        (want,) = [r.real for r in np.roots([1, 2, 13, 4, -4]) if r.imag == 0.0 and 0.0 < r.real < 1.0]
-        assert abs(root - want) <= 1e-15
+        root = floors["Re G' > 1/2 reference"]
+        p = partial(np.polyval, (1.0, 2.0, 13.0, 4.0, -4.0))
+        assert abs(root - brentq(p, 0.0, 1.0, xtol=1e-15)) <= 1e-15
         assert p(root - 1e-15) < 0.0 < p(root + 1e-15)
+
+
+def test_import_loads_neither_scipy_optimize_nor_integrate():
+    code = "import sys, harmap; print(sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(harmap.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
