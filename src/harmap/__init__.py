@@ -15,7 +15,9 @@ from .classes import (
     coefficient_bound_check,
     growth_envelope,
     membership,
+    memberships,
     sample_member,
+    sample_members,
 )
 from .geometry import (
     DEFAULT_GRID,

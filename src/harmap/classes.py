@@ -23,7 +23,7 @@ from scipy.special import spence
 
 from .geometry import DEFAULT_GRID, GRID_ANGLES, SamplingGrid, _winding_number
 from .harmonic import HarmonicMap
-from .series import AnalyticSeries, circle_scan
+from .series import AnalyticSeries, circle_scan, evaluate_stack
 
 #: positive-margin tolerance certifying a strict inequality on a closed grid
 STRICTNESS_TOL = 1e-9
@@ -97,20 +97,33 @@ def _certifying_grid(c: ClassId) -> SamplingGrid:
     return G_VARIANT_GRID if c.name in RELATIVE_CLASSES else DEFAULT_GRID
 
 
-def _grid_slack(f: HarmonicMap, c: ClassId, z: np.ndarray) -> np.ndarray:
-    """The slack of the class's defining pair (u, v) at the points z."""
+def _defining_pair(f: HarmonicMap, c: ClassId) -> tuple[AnalyticSeries, AnalyticSeries]:
+    """(h', g'), or for W_H0 ((z h')', (z g')'), before the division by G'."""
     hp, gp = f.h.derivative(), f.g.derivative()
     if c.name is ClassName.W_H0:
         # (z h')' and (z g')' have coefficients n^2 a_n: n times those of h', g'
         n = np.arange(2, hp.order + 2)
         hp, gp = (AnalyticSeries(n * s.coeffs, const=s.const) for s in (hp, gp))
-    u, v = hp.evaluate(z), gp.evaluate(z)
+    return hp, gp
+
+
+def _grid_slack(fs: list[HarmonicMap], c: ClassId, z: np.ndarray) -> np.ndarray:
+    """The slack of each map's defining pair (u, v) at the points z, one row per map.
+
+    One :func:`evaluate_stack` call evaluates every pair, and G' for the
+    _G classes, which is tested once for the whole set.
+    """
+    series = [s for f in fs for s in _defining_pair(f, c)]
     if c.reference_map is not None:
-        gref = c.reference_map.derivative().evaluate(z)
+        series.append(c.reference_map.derivative())
+    values = evaluate_stack(series, z)
+    if c.reference_map is not None:
+        gref = values[-1]
         # a zero inside makes G' wind about 0 along the circle (argument principle)
         if np.min(np.abs(gref)) < 1e-12 or abs(_winding_number(gref, 0.0)) > 0.5:
             raise SingularReferenceError("reference derivative vanishes on or inside the certifying circle")
-        u, v = u / gref, v / gref
+        values = values[:-1] / gref
+    u, v = values[0::2], values[1::2]
     if c.name in _F_CLASSES:
         return 1.0 - np.abs(u - 1.0) - np.abs(v)
     return np.real(u) - np.abs(v)
@@ -125,27 +138,7 @@ def _result(margin: float, witness: complex | int, floor: float) -> MembershipRe
     return MembershipResult(False, margin, witness, "rejected")
 
 
-def membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
-    """Certify class membership; see the module docstring for semantics.
-
-    Grid classes report the minimum of the defining slack on the
-    certifying circle (|z| = 0.99, or 0.75 for the _G classes) with the
-    attaining point as witness; margins in [0, tol] are flagged as
-    boundary rather than rejected.  The slack is a harmonic real part
-    minus moduli of analytic functions, hence superharmonic, so its
-    infimum over the closed disk is attained on the boundary circle.
-    For the _G classes that needs G' free of zeros in the closed disk,
-    else ``SingularReferenceError``.  Coefficient classes report
-    1 - (weighted sum) with the dominant coefficient index as witness.
-    """
-    if not f.is_normalized():
-        raise ValueError("membership requires a normalized map")
-    if c.name in GRID_CLASSES:
-        z = _certifying_grid(c).points()
-        slack = _grid_slack(f, c, z)
-        k = int(np.argmin(slack))
-        return _result(float(slack[k]), complex(z[k]), 0.0)
-
+def _coefficient_membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
     if c.name is ClassName.S_R:
         deviation = np.maximum(np.abs(np.imag(f.h.coeffs)), np.abs(f.g.coeffs))
         k = int(np.argmax(deviation))
@@ -157,6 +150,41 @@ def membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
     contributions = weight * (np.abs(f.h.coeffs[1:]) + np.abs(f.g.coeffs[1:]))
     witness = int(n[np.argmax(contributions)]) if n.size else 1
     return _result(float(1.0 - contributions.sum()), witness, -EXACT_TOL)
+
+
+def memberships(fs, c: ClassId) -> list[MembershipResult]:
+    """Certify class membership of each map in ``fs``; see the module docstring for semantics.
+
+    Grid classes report the minimum of the defining slack on the
+    certifying circle (|z| = 0.99, or 0.75 for the _G classes) with the
+    attaining point as witness; margins in [0, tol] are flagged as
+    boundary rather than rejected.  The slack is a harmonic real part
+    minus moduli of analytic functions, hence superharmonic, so its
+    infimum over the closed disk is attained on the boundary circle.
+    For the _G classes that needs G' free of zeros in the closed disk,
+    else ``SingularReferenceError`` for the whole set.  Coefficient
+    classes report 1 - (weighted sum) with the dominant coefficient
+    index as witness.  A map that is not normalized raises
+    ``ValueError`` before any is certified.
+
+    The maps of a grid class are certified together, by one Horner loop
+    over all their defining pairs; each result is bit for bit the one
+    the map gets alone.
+    """
+    fs = list(fs)
+    if not all(f.is_normalized() for f in fs):
+        raise ValueError("membership requires a normalized map")
+    if c.name not in GRID_CLASSES:
+        return [_coefficient_membership(f, c) for f in fs]
+    z = _certifying_grid(c).points()
+    slack = _grid_slack(fs, c, z)
+    worst = np.argmin(slack, axis=-1).tolist()
+    return [_result(float(row[k]), complex(z[k]), 0.0) for row, k in zip(slack, worst)]
+
+
+def membership(f: HarmonicMap, c: ClassId) -> MembershipResult:
+    """Certify class membership of one map: the one-map case of :func:`memberships`."""
+    return memberships([f], c)[0]
 
 
 def _lower_R(r: float) -> float:
@@ -247,66 +275,84 @@ def _sample_coefficient_class(c: ClassId, rng: np.random.Generator, order: int) 
     return _normalized(raw_a * scale, raw_b * scale)
 
 
-def _grid_scale(name: ClassName, grid: SamplingGrid, q: np.ndarray, p: np.ndarray, target: float) -> float:
-    """The scale s that puts the circle slack of 1 + s*q, s*p at ``target``, from the circle scan."""
-    (qv, pv), _ = circle_scan((AnalyticSeries(q), AnalyticSeries(p)), (grid.radius,), GRID_ANGLES)
+def _grid_scale(name: ClassName, grid: SamplingGrid, qs, ps, targets) -> list[float]:
+    """Per draw k, the scale s that puts the circle slack of 1 + s*qs[k], s*ps[k] at
+    ``targets[k]``, from one circle scan of every draw."""
+    series = [AnalyticSeries(w) for pair in zip(qs, ps) for w in pair]
+    values, _ = circle_scan(series, (grid.radius,), GRID_ANGLES)
+    qv, pv = values[0::2, 0], values[1::2, 0]
     if name in _F_CLASSES:
-        worst = float(np.max(np.abs(qv) + np.abs(pv)))
-        return (1.0 - target) / worst
-    worst = float(np.min(np.real(qv) - np.abs(pv)))
-    return (1.0 - target) / (-worst) if worst < 0 else 1.0
+        worst = np.max(np.abs(qv) + np.abs(pv), axis=-1).tolist()
+        return [(1.0 - target) / w for w, target in zip(worst, targets)]
+    worst = np.min(np.real(qv) - np.abs(pv), axis=-1).tolist()
+    return [(1.0 - target) / (-w) if w < 0 else 1.0 for w, target in zip(worst, targets)]
 
 
-def _sample_derivative_class(c: ClassId, rng: np.random.Generator, order: int) -> HarmonicMap:
+def _sample_derivative_class(c: ClassId, seeds, order: int) -> list[HarmonicMap]:
     # draw h' (or h' + z h'', or h'-1) as 1 + s*q and the g side as s*p,
     # then choose s so the circle slack hits a target in [0.1, 0.7]
     m = np.arange(1, order)
-    q = _split_complex(rng, m.size) / m**2
-    p = 0.4 * _split_complex(rng, m.size) / m**2
-    s = _grid_scale(c.name, _certifying_grid(c), q, p, rng.uniform(0.1, 0.7))
-    u, v = np.concatenate(([1.0], s * q)), np.concatenate(([0.0], s * p))
+    qs, ps, targets = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        qs.append(_split_complex(rng, m.size) / m**2)
+        ps.append(0.4 * _split_complex(rng, m.size) / m**2)
+        targets.append(rng.uniform(0.1, 0.7))
     if c.reference_map is not None:
-        # relative classes: multiply the pair through G' so the ratio
-        # h'/G' is exactly 1 + s*q at every point of the disk
         gp = c.reference_map.derivative()
         gp_poly = np.concatenate(([gp.const], gp.coeffs))
-        u, v = (np.convolve(gp_poly, w)[:order] for w in (u, v))
     # h' has coefficients n a_n, and h' + z h'' has n^2 a_n
     n = np.arange(1, order + 1) ** (2 if c.name is ClassName.W_H0 else 1)
-    return HarmonicMap(AnalyticSeries(u / n), AnalyticSeries(v / n))
+    draws = []
+    for q, p, s in zip(qs, ps, _grid_scale(c.name, _certifying_grid(c), qs, ps, targets)):
+        u, v = np.concatenate(([1.0], s * q)), np.concatenate(([0.0], s * p))
+        if c.reference_map is not None:
+            # relative classes: multiply the pair through G' so the ratio
+            # h'/G' is exactly 1 + s*q at every point of the disk
+            u, v = (np.convolve(gp_poly, w)[:order] for w in (u, v))
+        draws.append(HarmonicMap(AnalyticSeries(u / n), AnalyticSeries(v / n)))
+    return draws
 
 
-def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
-    """Deterministic pseudo-random member of the class.
+def _sample_real(rng: np.random.Generator, order: int) -> HarmonicMap:
+    n = np.arange(2, order + 1)
+    raw = rng.standard_normal(n.size) / n**2
+    target = rng.uniform(0.3, 1.0)
+    raw *= target / np.sum(n * np.abs(raw))
+    return _normalized(raw, 0.0)
 
-    Coefficient classes rescale a random draw so the defining sum lands
-    in [0.3, 1]; derivative classes rescale so the margin on the
-    certifying circle lands in [0.1, 0.7], choosing the scale from the
-    circle scan of :func:`~harmap.series.circle_scan` (a draw choice; the
-    margin :func:`membership` reports is evaluated by Horner and agrees
-    with the target to rounding).  Draws of the classes without a
-    reference always pass :func:`membership`.  A _G draw has
-    h' = G'(1 + s q) truncated to the order; it passes when G' has no
-    zero in the closed disk and the truncated tail is small on the
-    certifying circle, which with the catalog references takes orders
-    of about 64.  Order 1 gives the identity z, the only normalized map
-    of that order: a member of every class without a reference, and of
-    R_H0_G or F_H0_G when Re G' > 0 or Re G' > 1/2 on the certifying
-    circle.  An order below 1 raises ``ValueError``.
+
+def sample_members(c: ClassId, seeds, order: int = 64) -> list[HarmonicMap]:
+    """Deterministic pseudo-random members of the class, one per seed.
+
+    Each seed drives its own generator, so a draw does not depend on the
+    other seeds of the call.  Coefficient classes rescale a random draw
+    so the defining sum lands in [0.3, 1]; derivative classes rescale so
+    the margin on the certifying circle lands in [0.1, 0.7], choosing the
+    scale from one circle scan of every draw of the call
+    (:func:`~harmap.series.circle_scan`; a draw choice, and the margin
+    :func:`membership` reports is evaluated by Horner and agrees with the
+    target to rounding).  Draws of the classes without a reference always
+    pass :func:`membership`.  A _G draw has h' = G'(1 + s q) truncated to
+    the order; it passes when G' has no zero in the closed disk and the
+    truncated tail is small on the certifying circle, which with the
+    catalog references takes orders of about 64.  Order 1 gives the
+    identity z, the only normalized map of that order: a member of every
+    class without a reference, and of R_H0_G or F_H0_G when Re G' > 0 or
+    Re G' > 1/2 on the certifying circle.  An order below 1 raises
+    ``ValueError``.
     """
     if order < 1:
         raise ValueError(f"sample order must be at least 1, got {order}")
     if order == 1:
-        return HarmonicMap(AnalyticSeries([1.0]), AnalyticSeries([0.0]))
-    rng = np.random.default_rng(seed)
-    if c.name in (ClassName.U_H0, ClassName.V_H0):
-        return _sample_coefficient_class(c, rng, order)
-    if c.name is ClassName.S_R:
-        n = np.arange(2, order + 1)
-        raw = rng.standard_normal(n.size) / n**2
-        target = rng.uniform(0.3, 1.0)
-        raw *= target / np.sum(n * np.abs(raw))
-        return _normalized(raw, 0.0)
+        return [HarmonicMap(AnalyticSeries([1.0]), AnalyticSeries([0.0])) for _ in seeds]
     if c.name in GRID_CLASSES:
-        return _sample_derivative_class(c, rng, order)
-    raise ValueError(f"cannot sample class {c.name.value}")
+        return _sample_derivative_class(c, seeds, order)
+    if c.name in (ClassName.U_H0, ClassName.V_H0):
+        return [_sample_coefficient_class(c, np.random.default_rng(seed), order) for seed in seeds]
+    return [_sample_real(np.random.default_rng(seed), order) for seed in seeds]
+
+
+def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:
+    """Deterministic pseudo-random member of the class: the one-seed case of :func:`sample_members`."""
+    return sample_members(c, (seed,), order)[0]

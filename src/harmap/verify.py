@@ -14,6 +14,7 @@ import time
 import timeit
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,13 @@ from .catalog import CatalogTag, eval_closed, make
 from .classes import (
     ClassId,
     ClassName,
+    MembershipResult,
     coefficient_bound_check,
     growth_envelope,
     membership,
+    memberships,
     sample_member,
+    sample_members,
 )
 from .geometry import (
     convex_margins,
@@ -54,6 +58,9 @@ SWEEP_POINTS = 16
 RADIUS_MEMBERS = 50
 ONE_SIDED_GAP = 1e-3
 ONE_SIDED_TOL = 1e-6
+#: members drawn, and certified, together: the most maps a sampled check
+#: holds at once; even, so that a chunk splits into whole pairs
+MEMBER_CHUNK = 32
 
 #: truncation orders high enough for the default certifying circle |z| = 0.99
 BOUNDARY_ORDER = 2048
@@ -111,13 +118,15 @@ class _Recorder:
         self.out_dir = Path(out_dir)
 
     def members(self, cid: ClassId, seed: int, count: int, order: int = 64):
-        """Members drawn lazily at seeds seed, seed + 1, ..., seed + count - 1."""
-        return (sample_member(cid, seed + k, order) for k in range(count))
+        """Members at seeds seed, seed + 1, ..., seed + count - 1, drawn lazily
+        chunk by chunk: lists of up to ``MEMBER_CHUNK`` maps, one
+        :func:`sample_members` call each."""
+        for start in range(seed, seed + count, MEMBER_CHUNK):
+            yield sample_members(cid, range(start, min(start + MEMBER_CHUNK, seed + count)), order)
 
     def pairs(self, cid: ClassId, seed: int, count: int):
-        """Member pairs drawn lazily at seeds (seed + 2k, seed + 2k + 1), k < count."""
-        stream = self.members(cid, seed, 2 * count)
-        return zip(stream, stream)
+        """Member pairs at seeds (seed + 2k, seed + 2k + 1), k < count, drawn lazily chunk by chunk."""
+        return (list(zip(chunk[0::2], chunk[1::2])) for chunk in self.members(cid, seed, 2 * count))
 
     def close(self, description: str, measured: float, expected: float, tol: float) -> None:
         ok = abs(measured - expected) <= tol
@@ -142,15 +151,14 @@ class _Recorder:
             CheckResult(description, measured == expected, str(measured), str(expected), 0.0)
         )
 
-    def counted(self, description: str, items, failure) -> None:
-        """One check over ``items``: how many fail, with the first failure's witness.
+    def counted(self, description: str, witnesses) -> None:
+        """One check over a stream of items: how many fail, with the first failure's witness.
 
-        ``failure(item)`` returns None when the item passes, else a witness string.
+        ``witnesses`` yields None for each item that passes, else a witness string.
         """
         failures = 0
         witness = ""
-        for item in items:
-            found = failure(item)
+        for found in witnesses:
             if found is not None:
                 failures += 1
                 witness = witness or found
@@ -177,10 +185,14 @@ def _unit_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _rejection(f: HarmonicMap, cid: ClassId, shown: HarmonicMap) -> str | None:
-    """None when f is a class member, else a witness of ``shown`` with f's margin."""
-    res = membership(f, cid)
+def _rejection(res: MembershipResult, shown: HarmonicMap) -> str | None:
+    """None for a class member, else a witness of ``shown`` with the member's margin."""
     return None if res.is_member else _witness(shown, f"margin={res.margin:.3e}")
+
+
+def _rejections(cid: ClassId, images, shown):
+    """:func:`_rejection` of each image, shown as the matching map of ``shown``: one set of maps."""
+    return map(_rejection, memberships(images, cid), shown)
 
 
 def _worst(margins, maps, radii) -> float:
@@ -232,8 +244,7 @@ def _suite_t2_5(rec: _Recorder, seed: int) -> None:
 
         rec.counted(
             f"{name.value}: gap bound {bound_label} over {CLASS_SAMPLES} members, n<=32 [sampled]",
-            rec.members(cid, seed, CLASS_SAMPLES),
-            violation,
+            map(violation, chain.from_iterable(rec.members(cid, seed, CLASS_SAMPLES))),
         )
     for tag, name, rule in [
         (CatalogTag.MACGREGOR_R, ClassName.R_H0, 1),
@@ -277,19 +288,22 @@ def _suite_t2_6(rec: _Recorder, seed: int) -> None:
         cid = ClassId(name)
         envelopes = [growth_envelope(cid, r) for r in radii]
 
-        def outside(f):
-            # the circle scan is within 1e-13 of Horner here, far inside the 1e-9 allowance
-            (h, g), _ = circle_scan((f.h, f.g), radii, 128)
-            for r, (lo, hi), on_circle in zip(radii, envelopes, np.abs(h + np.conj(g))):
-                if on_circle.min() < lo - 1e-9 or on_circle.max() > hi + 1e-9:
-                    return _witness(f, f"r={r}")
-            return None
+        def outside(chunk):
+            # one circle scan per chunk; it is within 1e-13 of Horner here,
+            # far inside the 1e-9 allowance
+            values, _ = circle_scan([s for f in chunk for s in (f.h, f.g)], radii, 128)
+            for f, moduli in zip(chunk, np.abs(values[0::2] + np.conj(values[1::2]))):
+                bad = [
+                    r
+                    for r, (lo, hi), on_circle in zip(radii, envelopes, moduli)
+                    if on_circle.min() < lo - 1e-9 or on_circle.max() > hi + 1e-9
+                ]
+                yield _witness(f, f"r={bad[0]}") if bad else None
 
         rec.counted(
             f"{name.value}: modulus envelope at r in (0.25, 0.5, 0.75) over "
             f"{CLASS_SAMPLES} members [sampled]",
-            rec.members(cid, seed, CLASS_SAMPLES),
-            outside,
+            chain.from_iterable(map(outside, rec.members(cid, seed, CLASS_SAMPLES))),
         )
 
 
@@ -359,8 +373,10 @@ def _suite_t2_11(rec: _Recorder, seed: int) -> None:
     rec.counted(
         f"R_H0 closed under the product with the convex strip kernel, "
         f"{CLASS_SAMPLES} members [sampled]",
-        rec.members(cid, seed, CLASS_SAMPLES),
-        lambda f: _rejection(tilde_convolve(_STRIP_KERNEL, f), cid, f),
+        chain.from_iterable(
+            _rejections(cid, [tilde_convolve(_STRIP_KERNEL, f) for f in chunk], chunk)
+            for chunk in rec.members(cid, seed, CLASS_SAMPLES)
+        ),
     )
 
 
@@ -379,8 +395,7 @@ def _suite_t2_12(rec: _Recorder, seed: int) -> None:
         rec.counted(
             f"{name.value}: convex combinations of members stay inside, "
             f"{CLASS_SAMPLES // 4} draws x 4 members [sampled]",
-            combos,
-            lambda combo: _rejection(combo, cid, combo),
+            (_rejection(membership(combo, cid), combo) for combo in combos),
         )
     u = make(CatalogTag.U_SHARP, 8)
     uc = make(CatalogTag.U_SHARP_CONJ, 8)
@@ -482,25 +497,25 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.R_H0)
     rec.counted(
         f"R_H0 generator always passes membership, {CLASS_SAMPLES} members [sampled]",
-        rec.members(cid, seed, CLASS_SAMPLES),
-        lambda f: _rejection(f, cid, f),
+        chain.from_iterable(_rejections(cid, chunk, chunk) for chunk in rec.members(cid, seed, CLASS_SAMPLES)),
     )
 
     lam = _unit_roots(SWEEP_POINTS)
 
     def rotation_rejected(f):
-        for l in lam:
-            if not membership(HarmonicMap(f.h, AnalyticSeries(l * f.g.coeffs)), cid).is_member:
+        # the rotations of one member are one set
+        rotations = [HarmonicMap(f.h, AnalyticSeries(l * f.g.coeffs)) for l in lam]
+        for l, res in zip(lam, memberships(rotations, cid)):
+            if not res.is_member:
                 return _witness(f, f"lambda={l:.3f}")
         return None
 
     rec.counted(
         "second-part rotations stay in the class, 100 members x 16 [sampled]",
-        rec.members(cid, seed + 7000, 100),
-        rotation_rejected,
+        map(rotation_rejected, chain.from_iterable(rec.members(cid, seed + 7000, 100))),
     )
 
-    members = list(rec.members(cid, seed + 31000, RADIUS_MEMBERS))
+    members = list(chain.from_iterable(rec.members(cid, seed + 31000, RADIUS_MEMBERS)))
     _one_sided_convex(rec, "convexity radius floor sqrt(2)-1", members, math.sqrt(2) - 1)
 
 
@@ -515,8 +530,10 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.W_H0)
     rec.counted(
         f"class closed under convolution, {PAIR_SAMPLES // 2} pairs [sampled]",
-        rec.pairs(cid, seed, PAIR_SAMPLES // 2),
-        lambda pair: _rejection(harmonic_convolve(*pair), cid, pair[0]),
+        chain.from_iterable(
+            _rejections(cid, [harmonic_convolve(f, F) for f, F in chunk], [f for f, _ in chunk])
+            for chunk in rec.pairs(cid, seed, PAIR_SAMPLES // 2)
+        ),
     )
 
     # sum of moduli < 1/2: Re phi/z > 1/2
@@ -524,14 +541,16 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
     for phi, label in [(_STRIP_KERNEL, "convex kernel"), (phi_cheby, "Re phi/z > 1/2 kernel")]:
         rec.counted(
             f"closed under product with {label}, {PAIR_SAMPLES} members [sampled]",
-            rec.members(cid, seed + 5000, PAIR_SAMPLES),
-            lambda f: _rejection(tilde_convolve(phi, f), cid, f),
+            chain.from_iterable(
+                _rejections(cid, [tilde_convolve(phi, f) for f in chunk], chunk)
+                for chunk in rec.members(cid, seed + 5000, PAIR_SAMPLES)
+            ),
         )
 
     chich = make(CatalogTag.CHICHRA_W, 64)
     worst = _worst(
         convex_margins,
-        (tilde_convolve(chich.h, f) for f in rec.members(cid, seed + 9000, RADIUS_MEMBERS)),
+        (tilde_convolve(chich.h, f) for f in chain.from_iterable(rec.members(cid, seed + 9000, RADIUS_MEMBERS))),
         (0.3, 0.6, 0.9),
     )
     rec.at_least(
@@ -576,17 +595,16 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
         rec.counted(
             f"{name.value}: per-part coefficient bounds 1/n^{bound_pow} over "
             f"{CLASS_SAMPLES} members [sampled]",
-            rec.members(cid, seed, CLASS_SAMPLES),
-            out_of_bounds,
+            map(out_of_bounds, chain.from_iterable(rec.members(cid, seed, CLASS_SAMPLES))),
         )
 
     u_cid, v_cid = ClassId(ClassName.U_H0), ClassId(ClassName.V_H0)
-    members = list(rec.members(u_cid, seed + 17000, RADIUS_MEMBERS))
+    members = list(chain.from_iterable(rec.members(u_cid, seed + 17000, RADIUS_MEMBERS)))
     _one_sided_convex(rec, "convexity radius floor 1/2", members, 0.5)
 
     radii = (0.3, 0.6, 0.9)
-    worst_star = _worst(starlike_margins, rec.members(u_cid, seed + 23000, 100), radii)
-    worst_conv = _worst(convex_margins, rec.members(v_cid, seed + 29000, 100), radii)
+    worst_star = _worst(starlike_margins, chain.from_iterable(rec.members(u_cid, seed + 23000, 100)), radii)
+    worst_conv = _worst(convex_margins, chain.from_iterable(rec.members(v_cid, seed + 29000, 100)), radii)
     rec.at_least("U_H0 members fully starlike on sampled circles [sampled]", worst_star, 1e-9)
     rec.at_least("V_H0 members fully convex on sampled circles [sampled]", worst_conv, 1e-9)
 
@@ -595,16 +613,18 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     u_cid = ClassId(ClassName.U_H0)
     v_cid = ClassId(ClassName.V_H0)
     for cid, label in ((u_cid, "U*U lands in U"), (v_cid, "U*U lands in V")):
+        convs = (harmonic_convolve(f, F) for f, F in chain.from_iterable(rec.pairs(u_cid, seed, PAIR_SAMPLES)))
         rec.counted(
             f"{label}, {PAIR_SAMPLES} pairs [sampled]",
-            (harmonic_convolve(f, F) for f, F in rec.pairs(u_cid, seed, PAIR_SAMPLES)),
-            lambda conv: _rejection(conv, cid, conv),
+            (_rejection(membership(conv, cid), conv) for conv in convs),
         )
 
     rec.counted(
         f"V*V lands in V, {PAIR_SAMPLES} pairs [sampled]",
-        rec.pairs(v_cid, seed + 100000, PAIR_SAMPLES),
-        lambda pair: _rejection(harmonic_convolve(*pair), v_cid, pair[0]),
+        (
+            _rejection(membership(harmonic_convolve(f, F), v_cid), f)
+            for f, F in chain.from_iterable(rec.pairs(v_cid, seed + 100000, PAIR_SAMPLES))
+        ),
     )
 
     def quadratic_sum(s: AnalyticSeries) -> float:
@@ -614,7 +634,7 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     eps_grid = _unit_roots(SWEEP_POINTS)
     worst = max(
         quadratic_sum(slice_map(f, eps))
-        for f in rec.members(v_cid, seed + 300000, PAIR_SAMPLES)
+        for f in chain.from_iterable(rec.members(v_cid, seed + 300000, PAIR_SAMPLES))
         for eps in eps_grid
     )
     rec.at_most(
@@ -623,19 +643,19 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
         1.0 + 1e-12,
     )
 
+    draws = (
+        (sample_member(cid, seed + offset + k), cid)
+        for k in range(PAIR_SAMPLES)
+        for offset, cid in ((400000, u_cid), (500000, v_cid))
+    )
     rec.counted(
         "convex kernel preserves both classes [sampled]",
-        (
-            (sample_member(cid, seed + offset + k), cid)
-            for k in range(PAIR_SAMPLES)
-            for offset, cid in ((400000, u_cid), (500000, v_cid))
-        ),
-        lambda item: _rejection(tilde_convolve(_STRIP_KERNEL, item[0]), item[1], item[0]),
+        (_rejection(membership(tilde_convolve(_STRIP_KERNEL, f), cid), f) for f, cid in draws),
     )
 
     worst_conv = _worst(
         convex_margins,
-        (harmonic_convolve(f, F) for f, F in rec.pairs(u_cid, seed + 600000, RADIUS_MEMBERS)),
+        (harmonic_convolve(f, F) for f, F in chain.from_iterable(rec.pairs(u_cid, seed + 600000, RADIUS_MEMBERS))),
         (0.3, 0.6, 0.9, 0.95),
     )
     rec.at_least("U*U convolutions convex on sampled circles [sampled]", worst_conv, 1e-9)
@@ -645,8 +665,7 @@ def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.S_R)
     rec.counted(
         "real-coefficient generator accepted, 100 members [sampled]",
-        rec.members(cid, seed, 100),
-        lambda f: _rejection(f, cid, f),
+        (_rejection(membership(f, cid), f) for f in chain.from_iterable(rec.members(cid, seed, 100))),
     )
 
     h = np.zeros(16, dtype=np.complex128)
@@ -726,29 +745,29 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
     )
 
     r_cid, u_cid = ClassId(ClassName.R_H0), ClassId(ClassName.U_H0)
-    r_images = map(alexander_plus, rec.members(r_cid, seed, 100))
-    u_images = map(alexander_plus, rec.members(u_cid, seed, 100))
+    r_images = map(alexander_plus, chain.from_iterable(rec.members(r_cid, seed, 100)))
+    u_images = map(alexander_plus, chain.from_iterable(rec.members(u_cid, seed, 100)))
     worst_star = _worst(starlike_margins, r_images, (0.3, 0.6, 0.9))
     worst_conv = _worst(convex_margins, u_images, (0.3, 0.6, 0.9, 0.95))
     rec.at_least("operator images of R_H0 members starlike on circles [sampled]", worst_star, 1e-9)
     rec.at_least("operator images of U_H0 members convex on circles, r<=0.95 [sampled]", worst_conv, 1e-9)
 
-    def off_target(pair):
-        fr, fu = pair
-        ok = (
-            membership(alexander_plus(fr), ClassId(ClassName.W_H0)).is_member
-            and membership(alexander_plus(fu), ClassId(ClassName.V_H0)).is_member
-            and membership(alexander_minus(fu), ClassId(ClassName.V_H0)).is_member
-        )
-        return None if ok else _witness(fr)
+    def off_target(r_chunk, u_chunk):
+        # the W_H0 images of a chunk are one set
+        in_w = memberships(map(alexander_plus, r_chunk), ClassId(ClassName.W_H0))
+        for fr, fu, res in zip(r_chunk, u_chunk, in_w):
+            ok = (
+                res.is_member
+                and membership(alexander_plus(fu), ClassId(ClassName.V_H0)).is_member
+                and membership(alexander_minus(fu), ClassId(ClassName.V_H0)).is_member
+            )
+            yield None if ok else _witness(fr)
 
     rec.counted(
         f"operator lands R_H0 in W_H0 and U_H0 in V_H0 (both signs), {CLASS_SAMPLES} members [sampled]",
-        zip(
-            rec.members(r_cid, seed, CLASS_SAMPLES),
-            rec.members(u_cid, seed, CLASS_SAMPLES),
+        chain.from_iterable(
+            map(off_target, rec.members(r_cid, seed, CLASS_SAMPLES), rec.members(u_cid, seed, CLASS_SAMPLES))
         ),
-        off_target,
     )
 
 
@@ -787,11 +806,10 @@ def _relative_floors(rec: _Recorder, seed: int, name: ClassName, floor: str, con
     """Membership of 10 sampled members and the one-sided convexity floor per reference."""
     for label, ref, bound in configs:
         cid = ClassId(name, reference_map=ref)
-        members = list(rec.members(cid, seed, RADIUS_MEMBERS, order=200))
+        members = list(chain.from_iterable(rec.members(cid, seed, RADIUS_MEMBERS, order=200)))
         rec.counted(
             f"relative class membership holds ({label}) [sampled]",
-            members[:10],
-            lambda f: _rejection(f, cid, f),
+            _rejections(cid, members[:10], members[:10]),
         )
         _one_sided_convex(rec, f"{floor} with {label}", members, bound)
 

@@ -15,7 +15,9 @@ from harmap.classes import (
     coefficient_bound_check,
     growth_envelope,
     membership,
+    memberships,
     sample_member,
+    sample_members,
 )
 from harmap.harmonic import HarmonicMap, analytic_map, harmonic_convolve, slice_map
 from harmap.series import AnalyticSeries
@@ -127,7 +129,7 @@ class TestMembership:
         ref = AnalyticSeries(np.eye(1, 8, 0).ravel())  # G(z) = z
         cid = ClassId(ClassName.R_H0_G, reference_map=ref)
         z = classes.G_VARIANT_GRID.points()
-        plain = classes._grid_slack(quad_conj_map(), ClassId(ClassName.R_H0), z)
+        (plain,) = classes._grid_slack([quad_conj_map()], ClassId(ClassName.R_H0), z)
         relative = membership(quad_conj_map(8), cid)
         assert relative.is_member
         assert relative.margin == pytest.approx(plain.min(), abs=1e-12)
@@ -146,7 +148,7 @@ class TestMinimumPrinciple:
     def polar_minimum(f, cid, radii):
         grid = classes._certifying_grid(cid)
         z = np.concatenate([grid.circle(r) for r in radii])
-        return float(np.min(classes._grid_slack(f, cid, z)))
+        return float(np.min(classes._grid_slack([f], cid, z)))
 
     @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0])
     def test_sampled_members(self, name):
@@ -184,7 +186,7 @@ class TestDefiningPair:
         maps = [sample_member(cid, seed) for seed in range(40)] + [make(CatalogTag.CHICHRA_W, 2048)]
         for f in maps:
             reference = self.four_series_slack(f, z)
-            gap = np.max(np.abs(classes._grid_slack(f, cid, z) - reference))
+            gap = np.max(np.abs(classes._grid_slack([f], cid, z)[0] - reference))
             assert gap <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -430,3 +432,57 @@ class TestClosures:
                 s = slice_map(f, eps)
                 n = np.arange(2, s.order + 1)
                 assert np.sum(n**2 * np.abs(s.coeffs[1:]) ** 2) <= 1.0 + 1e-12
+
+
+def _set_form_class(name):
+    ref = make(CatalogTag.KOEBE, 64).h if name in classes.RELATIVE_CLASSES else None
+    return ClassId(name, reference_map=ref)
+
+
+class TestSetForms:
+    """``sample_members`` and ``memberships`` are the one-map calls, applied to a set."""
+
+    SIZES = (0, 1, 31, 32, 33)
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 64, 200])
+    @pytest.mark.parametrize("name", list(ClassName))
+    def test_sets_equal_one_map_calls(self, name, order):
+        cid = _set_form_class(name)
+        start = 0
+        for size in self.SIZES:
+            seeds = range(start, start + size)
+            start += size
+            drawn = sample_members(cid, seeds, order)
+            assert len(drawn) == size
+            for f, seed in zip(drawn, seeds):
+                alone = sample_member(cid, seed, order)
+                assert f.h.coeffs.tobytes() == alone.h.coeffs.tobytes()
+                assert f.g.coeffs.tobytes() == alone.g.coeffs.tobytes()
+            # perturbed maps too, so that some of the set fall outside the class
+            maps = drawn + [HarmonicMap(f.h, AnalyticSeries(3.0 * f.g.coeffs)) for f in drawn[::3]]
+            results = memberships(maps, cid)
+            assert len(results) == len(maps)
+            for f, res in zip(maps, results):
+                alone = membership(f, cid)
+                assert (res.is_member, res.status, res.witness) == (alone.is_member, alone.status, alone.witness)
+                assert res.margin.hex() == alone.margin.hex()
+
+    @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0_G, ClassName.U_H0, ClassName.S_R])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    def test_unnormalized_map_anywhere_rejects_the_set(self, name, position):
+        cid = _set_form_class(name)
+        maps = sample_members(cid, range(4), 16)
+        h = maps[0].h.coeffs.copy()
+        h[0] = 2.0
+        maps.insert(position, HarmonicMap(AnalyticSeries(h), maps[0].g))
+        with pytest.raises(ValueError, match="normalized"):
+            memberships(maps, cid)
+
+    @pytest.mark.parametrize("name", [ClassName.R_H0_G, ClassName.F_H0_G])
+    @pytest.mark.parametrize("size", [0, 1, 3, 33])
+    def test_singular_reference_rejects_the_set(self, name, size):
+        # G = z - z^2 has G' = 1 - 2z, zero at 1/2, inside the certifying circle
+        ref = AnalyticSeries([1.0, -1.0])
+        maps = sample_members(_set_form_class(name), range(size), 16)
+        with pytest.raises(SingularReferenceError):
+            memberships(maps, ClassId(name, reference_map=ref))

@@ -104,6 +104,42 @@ class TestEvaluate:
             assert type(value) is complex
             assert abs(value - vk) <= 1e-15 * sk
 
+    @pytest.mark.parametrize(
+        "z",
+        [
+            math.nan,
+            math.inf,
+            1.0,
+            -1j,
+            np.complex128(complex(math.nan, 0.5)),
+            np.float64(math.inf),
+            np.float64(-1.0),
+            0.6 - 0.7j,
+            -0.3,
+            0,
+            np.complex128(0.2 - 0.9j),
+            np.float64(0.97),
+            np.float32(-0.5),
+            np.array(0.4j),
+        ],
+    )
+    def test_scalar_types(self, z):
+        # a number is checked and evaluated in Python: non-finite points and
+        # |z| >= 1 raise, and a value comes from the Python complex recurrence
+        rng = np.random.default_rng(5)
+        s = AnalyticSeries(rng.standard_normal(40) + 1j * rng.standard_normal(40), const=0.125 - 1j)
+        w = complex(z)
+        if not abs(w) < 1.0:
+            with pytest.raises(DomainError):
+                s.evaluate(z)
+            return
+        acc = 0j
+        for c in s.coeffs[::-1].tolist():
+            acc = acc * w + c
+        value = s.evaluate(z)
+        assert type(value) is complex
+        assert (value.real.hex(), value.imag.hex()) == ((s.const + acc * w).real.hex(), (s.const + acc * w).imag.hex())
+
     @pytest.mark.parametrize("z", [0.5 + 0.1j, np.zeros(3), np.full((2, 4), 0.1j)])
     def test_zero_series_returns_zeros_of_input_shape(self, z):
         out = AnalyticSeries(np.zeros(6)).evaluate(z)

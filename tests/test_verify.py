@@ -18,7 +18,7 @@ from harmap.verify import SuiteReport, _Recorder, run_suite, suite_ids
 class TestCounted:
     def test_counts_failures_and_keeps_first_witness(self):
         rec = _Recorder(".")
-        rec.counted("odd items pass", range(6), lambda k: None if k % 2 else f"item {k}")
+        rec.counted("odd items pass", (None if k % 2 else f"item {k}" for k in range(6)))
         (check,) = rec.checks
         assert not check.passed
         assert check.measured == "3 (first: item 0)"
@@ -26,14 +26,14 @@ class TestCounted:
 
     def test_all_passing(self):
         rec = _Recorder(".")
-        rec.counted("everything passes", iter(range(4)), lambda k: None)
+        rec.counted("everything passes", iter([None] * 4))
         (check,) = rec.checks
         assert check.passed
         assert check.measured == "0"
 
     def test_empty_witness_counts_as_failure(self):
         rec = _Recorder(".")
-        rec.counted("no witness text", [1, 2], lambda k: "")
+        rec.counted("no witness text", ["", ""])
         assert rec.checks[0].measured == "2 (first: )"
 
 
@@ -41,12 +41,25 @@ class TestDraws:
     def test_members_and_pairs_equal_fresh_draws(self):
         rec = _Recorder(".")
         cid = ClassId(ClassName.R_H0)
-        drawn = list(rec.members(cid, 5, 3, order=16)) + [f for pair in rec.pairs(cid, 5, 2) for f in pair]
+        drawn = [f for chunk in rec.members(cid, 5, 3, order=16) for f in chunk]
+        drawn += [f for chunk in rec.pairs(cid, 5, 2) for pair in chunk for f in pair]
         seeds_orders = [(5, 16), (6, 16), (7, 16), (5, 64), (6, 64), (7, 64), (8, 64)]
         for f, (seed, order) in zip(drawn, seeds_orders, strict=True):
             fresh = sample_member(cid, seed, order)
             assert f.h.coeffs.tobytes() == fresh.h.coeffs.tobytes()
             assert f.g.coeffs.tobytes() == fresh.g.coeffs.tobytes()
+
+    @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 70])
+    def test_members_come_in_chunks(self, count):
+        # a sampled check holds one chunk of maps at a time
+        rec = _Recorder(".")
+        chunks = list(rec.members(ClassId(ClassName.U_H0), 9, count, order=4))
+        assert [len(chunk) for chunk in chunks[:-1]] == [verify.MEMBER_CHUNK] * (len(chunks) - 1)
+        assert sum(map(len, chunks)) == count
+        assert all(0 < len(chunk) <= verify.MEMBER_CHUNK for chunk in chunks)
+        pairs = list(rec.pairs(ClassId(ClassName.U_H0), 9, count))
+        assert sum(map(len, pairs)) == count
+        assert all(0 < len(chunk) <= verify.MEMBER_CHUNK // 2 for chunk in pairs)
 
     def test_relative_suite_twice_gives_identical_lines(self, tmp_path, monkeypatch):
         # T4.7 draws the same seeds under three reference maps
@@ -132,8 +145,11 @@ class TestMembershipWitnesses:
         ],
     )
     def test_rejected_members_are_named(self, suite_id, description, count, monkeypatch):
+        # T3.10 certifies one map at a time, T4.7 and T4.8 their members as one set
+        rejected = MembershipResult(False, -0.25, 0, "rejected")
         monkeypatch.setattr(verify, "RADIUS_MEMBERS", 10)
-        monkeypatch.setattr(verify, "membership", lambda f, cid: MembershipResult(False, -0.25, 0, "rejected"))
+        monkeypatch.setattr(verify, "membership", lambda f, cid: rejected)
+        monkeypatch.setattr(verify, "memberships", lambda fs, cid: [rejected for _ in fs])
         checks = [c for c in run_suite(suite_id).checks if c.description.startswith(description)]
         assert checks
         for check in checks:
