@@ -240,6 +240,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "order", None) is not None and args.order < 1:
             parser.error(f"argument --order: must be at least 1, got {args.order}")
+        if getattr(args, "seed", 0) < 0:
+            parser.error(f"argument --seed: must be non-negative, got {args.seed}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

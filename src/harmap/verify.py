@@ -4,7 +4,9 @@ Each suite packs related checks under one key and reports one line per
 check.  Expected values carry a provenance tag in the description:
 [exact] for algebraic identities, [constant] for sharp constants being
 reproduced, [oracle] for independently computed numerical expectations,
-[sampled] for seeded statistical checks.
+[sampled] for seeded statistical checks.  A sampled check draws its
+members chunk by chunk and certifies each chunk with one
+:func:`~harmap.classes.memberships` call.
 """
 
 from __future__ import annotations
@@ -23,12 +25,10 @@ from .catalog import CatalogTag, eval_closed, make
 from .classes import (
     ClassId,
     ClassName,
-    MembershipResult,
     coefficient_bound_check,
     growth_envelope,
     membership,
     memberships,
-    sample_member,
     sample_members,
 )
 from .geometry import (
@@ -59,7 +59,8 @@ RADIUS_MEMBERS = 50
 ONE_SIDED_GAP = 1e-3
 ONE_SIDED_TOL = 1e-6
 #: members drawn, and certified, together: the most maps a sampled check
-#: holds at once; even, so that a chunk splits into whole pairs
+#: holds at once; a multiple of 4, so that a chunk splits into whole
+#: pairs and into T2.12's whole 4-member groups
 MEMBER_CHUNK = 32
 
 #: truncation orders high enough for the default certifying circle |z| = 0.99
@@ -185,27 +186,29 @@ def _unit_roots(m: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _rejection(res: MembershipResult, shown: HarmonicMap) -> str | None:
-    """None for a class member, else a witness of ``shown`` with the member's margin."""
-    return None if res.is_member else _witness(shown, f"margin={res.margin:.3e}")
+def _rejections(cid: ClassId, images, shown=None) -> list[str | None]:
+    """None for each image in the class, else a witness of the matching map
+    of ``shown`` (the image itself by default) with the image's margin;
+    the images are one set, certified by one :func:`memberships` call."""
+    images = list(images)
+    return [
+        None if res.is_member else _witness(f, f"margin={res.margin:.3e}")
+        for res, f in zip(memberships(images, cid), images if shown is None else shown)
+    ]
 
 
-def _rejections(cid: ClassId, images, shown):
-    """:func:`_rejection` of each image, shown as the matching map of ``shown``: one set of maps."""
-    return map(_rejection, memberships(images, cid), shown)
-
-
-def _worst(margins, maps, radii) -> float:
-    """The least ``min_margin`` of ``margins(f, radii)`` over the maps f."""
-    return min(rep.min_margin for f in maps for rep in margins(f, radii))
+def _worst(margins, maps, radii) -> tuple[float, int, float]:
+    """The least ``min_margin`` of ``margins(f, radii)`` over the maps f, with
+    the index of its map and its radius."""
+    return min(
+        ((rep.min_margin, k, rep.r) for k, f in enumerate(maps) for rep in margins(f, radii)),
+        key=lambda item: item[0],
+    )
 
 
 def _one_sided_convex(rec: _Recorder, label: str, members, bound: float) -> None:
     radii = [frac * (bound - ONE_SIDED_GAP) for frac in (0.25, 0.5, 0.75, 1.0)]
-    worst, k, r = min(
-        ((rep.min_margin, k, rep.r) for k, f in enumerate(members) for rep in convex_margins(f, radii)),
-        key=lambda item: item[0],
-    )
+    worst, k, r = _worst(convex_margins, members, radii)
     witness = _witness(members[k], f"member={k} r={r:.6f}")
     rec.at_least(
         f"{label}: min convex margin of {len(members)} members at radii <= "
@@ -385,17 +388,16 @@ def _suite_t2_12(rec: _Recorder, seed: int) -> None:
     for name in (ClassName.U_H0, ClassName.R_H0):
         cid = ClassId(name)
         # one weight draw per combination, in order: the suite's only random stream
-        combos = (
-            convex_combination(
-                rng.dirichlet(np.ones(4)),
-                [sample_member(cid, seed + 4 * k + j) for j in range(4)],
-            )
-            for k in range(CLASS_SAMPLES // 4)
-        )
         rec.counted(
             f"{name.value}: convex combinations of members stay inside, "
             f"{CLASS_SAMPLES // 4} draws x 4 members [sampled]",
-            (_rejection(membership(combo, cid), combo) for combo in combos),
+            chain.from_iterable(
+                _rejections(
+                    cid,
+                    [convex_combination(rng.dirichlet(np.ones(4)), chunk[k : k + 4]) for k in range(0, len(chunk), 4)],
+                )
+                for chunk in rec.members(cid, seed, 4 * (CLASS_SAMPLES // 4))
+            ),
         )
     u = make(CatalogTag.U_SHARP, 8)
     uc = make(CatalogTag.U_SHARP_CONJ, 8)
@@ -490,14 +492,12 @@ def _suite_t2_16(rec: _Recorder, seed: int) -> None:
 
 
 def _suite_t3_3(rec: _Recorder, seed: int) -> None:
-    ext = make(CatalogTag.MACGREGOR_R, BOUNDARY_ORDER)
-    res = membership(ext, ClassId(ClassName.R_H0))
-    rec.boolean("logarithmic extremal is a class member [oracle]", res.is_member, True)
-
     cid = ClassId(ClassName.R_H0)
+    ext = make(CatalogTag.MACGREGOR_R, BOUNDARY_ORDER)
+    rec.boolean("logarithmic extremal is a class member [oracle]", membership(ext, cid).is_member)
     rec.counted(
         f"R_H0 generator always passes membership, {CLASS_SAMPLES} members [sampled]",
-        chain.from_iterable(_rejections(cid, chunk, chunk) for chunk in rec.members(cid, seed, CLASS_SAMPLES)),
+        chain.from_iterable(map(partial(_rejections, cid), rec.members(cid, seed, CLASS_SAMPLES))),
     )
 
     lam = _unit_roots(SWEEP_POINTS)
@@ -507,7 +507,7 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
         rotations = [HarmonicMap(f.h, AnalyticSeries(l * f.g.coeffs)) for l in lam]
         for l, res in zip(lam, memberships(rotations, cid)):
             if not res.is_member:
-                return _witness(f, f"lambda={l:.3f}")
+                return _witness(f, f"lambda={l:.3f} margin={res.margin:.3e}")
         return None
 
     rec.counted(
@@ -520,14 +520,9 @@ def _suite_t3_3(rec: _Recorder, seed: int) -> None:
 
 
 def _suite_t3_5(rec: _Recorder, seed: int) -> None:
-    ext = make(CatalogTag.CHICHRA_W, BOUNDARY_ORDER)
-    rec.boolean(
-        "dilogarithmic extremal is a class member [oracle]",
-        membership(ext, ClassId(ClassName.W_H0)).is_member,
-        True,
-    )
-
     cid = ClassId(ClassName.W_H0)
+    ext = make(CatalogTag.CHICHRA_W, BOUNDARY_ORDER)
+    rec.boolean("dilogarithmic extremal is a class member [oracle]", membership(ext, cid).is_member)
     rec.counted(
         f"class closed under convolution, {PAIR_SAMPLES // 2} pairs [sampled]",
         chain.from_iterable(
@@ -548,7 +543,7 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
         )
 
     chich = make(CatalogTag.CHICHRA_W, 64)
-    worst = _worst(
+    worst, _, _ = _worst(
         convex_margins,
         (tilde_convolve(chich.h, f) for f in chain.from_iterable(rec.members(cid, seed + 9000, RADIUS_MEMBERS))),
         (0.3, 0.6, 0.9),
@@ -564,38 +559,27 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
     rec.boolean("quadratic extremal accepted at the boundary [exact]", res.is_member, True)
     rec.close("its margin is exactly zero [exact]", res.margin, 0.0, 0.0)
     rec.boolean("its status reads boundary [exact]", res.status == "boundary", True)
-    rec.boolean(
-        "conjugate variant accepted too [exact]",
-        membership(make(CatalogTag.U_SHARP_CONJ, 16), ClassId(ClassName.U_H0)).is_member,
-        True,
-    )
-    rec.boolean(
-        "quadratic extremal is rejected from the heavier class [exact]",
-        membership(u, ClassId(ClassName.V_H0)).is_member,
-        False,
-    )
-    rec.boolean(
-        "quarter-quadratic extremal accepted there [exact]",
-        membership(make(CatalogTag.V_SHARP, 16), ClassId(ClassName.V_H0)).is_member,
-        True,
-    )
+    for description, tag, name, expected in [
+        ("conjugate variant accepted too", CatalogTag.U_SHARP_CONJ, ClassName.U_H0, True),
+        ("quadratic extremal is rejected from the heavier class", CatalogTag.U_SHARP, ClassName.V_H0, False),
+        ("quarter-quadratic extremal accepted there", CatalogTag.V_SHARP, ClassName.V_H0, True),
+    ]:
+        rec.boolean(f"{description} [exact]", membership(make(tag, 16), ClassId(name)).is_member, expected)
 
     for name, bound_pow in [(ClassName.U_H0, 1), (ClassName.V_H0, 2)]:
         cid = ClassId(name)
 
-        def out_of_bounds(f):
-            n = np.arange(2, f.order + 1, dtype=np.float64)
-            ok = (
-                np.all(np.abs(f.h.coeffs[1:]) <= 1.0 / n**bound_pow + 1e-12)
-                and np.all(np.abs(f.g.coeffs[1:]) <= 1.0 / n**bound_pow + 1e-12)
-                and membership(f, cid).is_member
-            )
-            return None if ok else _witness(f)
+        def out_of_bounds(chunk):
+            # a member within the bounds is reported by its membership
+            for f, rejected in zip(chunk, _rejections(cid, chunk)):
+                bound = 1.0 / np.arange(2, f.order + 1, dtype=np.float64) ** bound_pow + 1e-12
+                in_bounds = np.all(np.abs(f.h.coeffs[1:]) <= bound) and np.all(np.abs(f.g.coeffs[1:]) <= bound)
+                yield rejected if in_bounds else _witness(f)
 
         rec.counted(
             f"{name.value}: per-part coefficient bounds 1/n^{bound_pow} over "
             f"{CLASS_SAMPLES} members [sampled]",
-            map(out_of_bounds, chain.from_iterable(rec.members(cid, seed, CLASS_SAMPLES))),
+            chain.from_iterable(map(out_of_bounds, rec.members(cid, seed, CLASS_SAMPLES))),
         )
 
     u_cid, v_cid = ClassId(ClassName.U_H0), ClassId(ClassName.V_H0)
@@ -603,8 +587,8 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
     _one_sided_convex(rec, "convexity radius floor 1/2", members, 0.5)
 
     radii = (0.3, 0.6, 0.9)
-    worst_star = _worst(starlike_margins, chain.from_iterable(rec.members(u_cid, seed + 23000, 100)), radii)
-    worst_conv = _worst(convex_margins, chain.from_iterable(rec.members(v_cid, seed + 29000, 100)), radii)
+    worst_star, _, _ = _worst(starlike_margins, chain.from_iterable(rec.members(u_cid, seed + 23000, 100)), radii)
+    worst_conv, _, _ = _worst(convex_margins, chain.from_iterable(rec.members(v_cid, seed + 29000, 100)), radii)
     rec.at_least("U_H0 members fully starlike on sampled circles [sampled]", worst_star, 1e-9)
     rec.at_least("V_H0 members fully convex on sampled circles [sampled]", worst_conv, 1e-9)
 
@@ -613,17 +597,19 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     u_cid = ClassId(ClassName.U_H0)
     v_cid = ClassId(ClassName.V_H0)
     for cid, label in ((u_cid, "U*U lands in U"), (v_cid, "U*U lands in V")):
-        convs = (harmonic_convolve(f, F) for f, F in chain.from_iterable(rec.pairs(u_cid, seed, PAIR_SAMPLES)))
         rec.counted(
             f"{label}, {PAIR_SAMPLES} pairs [sampled]",
-            (_rejection(membership(conv, cid), conv) for conv in convs),
+            chain.from_iterable(
+                _rejections(cid, [harmonic_convolve(f, F) for f, F in chunk])
+                for chunk in rec.pairs(u_cid, seed, PAIR_SAMPLES)
+            ),
         )
 
     rec.counted(
         f"V*V lands in V, {PAIR_SAMPLES} pairs [sampled]",
-        (
-            _rejection(membership(harmonic_convolve(f, F), v_cid), f)
-            for f, F in chain.from_iterable(rec.pairs(v_cid, seed + 100000, PAIR_SAMPLES))
+        chain.from_iterable(
+            _rejections(v_cid, [harmonic_convolve(f, F) for f, F in chunk], [f for f, _ in chunk])
+            for chunk in rec.pairs(v_cid, seed + 100000, PAIR_SAMPLES)
         ),
     )
 
@@ -643,17 +629,19 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
         1.0 + 1e-12,
     )
 
-    draws = (
-        (sample_member(cid, seed + offset + k), cid)
-        for k in range(PAIR_SAMPLES)
-        for offset, cid in ((400000, u_cid), (500000, v_cid))
-    )
+    kernel = partial(tilde_convolve, _STRIP_KERNEL)
+    u_chunks = rec.members(u_cid, seed + 400000, PAIR_SAMPLES)
+    v_chunks = rec.members(v_cid, seed + 500000, PAIR_SAMPLES)
     rec.counted(
         "convex kernel preserves both classes [sampled]",
-        (_rejection(membership(tilde_convolve(_STRIP_KERNEL, f), cid), f) for f, cid in draws),
+        # one U member, one V member, one U member, ...: the order of the first witness
+        chain.from_iterable(
+            chain.from_iterable(zip(_rejections(u_cid, map(kernel, us), us), _rejections(v_cid, map(kernel, vs), vs)))
+            for us, vs in zip(u_chunks, v_chunks)
+        ),
     )
 
-    worst_conv = _worst(
+    worst_conv, _, _ = _worst(
         convex_margins,
         (harmonic_convolve(f, F) for f, F in chain.from_iterable(rec.pairs(u_cid, seed + 600000, RADIUS_MEMBERS))),
         (0.3, 0.6, 0.9, 0.95),
@@ -665,7 +653,7 @@ def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     cid = ClassId(ClassName.S_R)
     rec.counted(
         "real-coefficient generator accepted, 100 members [sampled]",
-        (_rejection(membership(f, cid), f) for f in chain.from_iterable(rec.members(cid, seed, 100))),
+        chain.from_iterable(map(partial(_rejections, cid), rec.members(cid, seed, 100))),
     )
 
     h = np.zeros(16, dtype=np.complex128)
@@ -675,16 +663,11 @@ def _suite_t3_10(rec: _Recorder, seed: int) -> None:
     res = membership(bad, cid)
     rec.boolean("complex coefficient rejected [exact]", res.is_member, False)
     rec.boolean("witness points at the offending index [exact]", res.witness == 2, True)
-    rec.boolean(
-        "nonzero second part rejected [exact]",
-        membership(make(CatalogTag.U_SHARP_CONJ, 16), cid).is_member,
-        False,
-    )
-    rec.boolean(
-        "analytic real extremal accepted [exact]",
-        membership(make(CatalogTag.KOEBE, 16), cid).is_member,
-        True,
-    )
+    for description, tag, expected in [
+        ("nonzero second part rejected", CatalogTag.U_SHARP_CONJ, False),
+        ("analytic real extremal accepted", CatalogTag.KOEBE, True),
+    ]:
+        rec.boolean(f"{description} [exact]", membership(make(tag, 16), cid).is_member, expected)
 
 
 def _suite_d4(rec: _Recorder, seed: int) -> None:
@@ -744,24 +727,23 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
         1e-12,
     )
 
-    r_cid, u_cid = ClassId(ClassName.R_H0), ClassId(ClassName.U_H0)
+    r_cid, u_cid, v_cid, w_cid = map(ClassId, (ClassName.R_H0, ClassName.U_H0, ClassName.V_H0, ClassName.W_H0))
     r_images = map(alexander_plus, chain.from_iterable(rec.members(r_cid, seed, 100)))
     u_images = map(alexander_plus, chain.from_iterable(rec.members(u_cid, seed, 100)))
-    worst_star = _worst(starlike_margins, r_images, (0.3, 0.6, 0.9))
-    worst_conv = _worst(convex_margins, u_images, (0.3, 0.6, 0.9, 0.95))
+    worst_star, _, _ = _worst(starlike_margins, r_images, (0.3, 0.6, 0.9))
+    worst_conv, _, _ = _worst(convex_margins, u_images, (0.3, 0.6, 0.9, 0.95))
     rec.at_least("operator images of R_H0 members starlike on circles [sampled]", worst_star, 1e-9)
     rec.at_least("operator images of U_H0 members convex on circles, r<=0.95 [sampled]", worst_conv, 1e-9)
 
-    def off_target(r_chunk, u_chunk):
-        # the W_H0 images of a chunk are one set
-        in_w = memberships(map(alexander_plus, r_chunk), ClassId(ClassName.W_H0))
-        for fr, fu, res in zip(r_chunk, u_chunk, in_w):
-            ok = (
-                res.is_member
-                and membership(alexander_plus(fu), ClassId(ClassName.V_H0)).is_member
-                and membership(alexander_minus(fu), ClassId(ClassName.V_H0)).is_member
-            )
-            yield None if ok else _witness(fr)
+    def off_target(rs, us):
+        # three image sets per chunk; a member's witness is its first
+        # rejection, in the order W_H0, V_H0 (+), V_H0 (-)
+        found = zip(
+            _rejections(w_cid, map(alexander_plus, rs), rs),
+            _rejections(v_cid, map(alexander_plus, us), us),
+            _rejections(v_cid, map(alexander_minus, us), us),
+        )
+        return (next(filter(None, witnesses), None) for witnesses in found)
 
     rec.counted(
         f"operator lands R_H0 in W_H0 and U_H0 in V_H0 (both signs), {CLASS_SAMPLES} members [sampled]",
@@ -784,7 +766,7 @@ def _suite_fig(rec: _Recorder, seed: int, which: str) -> None:
     }[which]
     fname = f"{which.lower()}.svg"
     big = make(tag, FIG_SERIES_ORDER)
-    worst = _worst(margin_fn, [big], FIG_MARGIN_RADII)
+    worst, _, _ = _worst(margin_fn, [big], FIG_MARGIN_RADII)
     rec.at_most(
         f"{tag.value}: {functional} margin goes negative on r in {FIG_MARGIN_RADII} [oracle]",
         worst,
@@ -809,7 +791,7 @@ def _relative_floors(rec: _Recorder, seed: int, name: ClassName, floor: str, con
         members = list(chain.from_iterable(rec.members(cid, seed, RADIUS_MEMBERS, order=200)))
         rec.counted(
             f"relative class membership holds ({label}) [sampled]",
-            _rejections(cid, members[:10], members[:10]),
+            _rejections(cid, members[:10]),
         )
         _one_sided_convex(rec, f"{floor} with {label}", members, bound)
 

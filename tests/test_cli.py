@@ -157,6 +157,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and str(out_dir) in err
 
+    @pytest.mark.parametrize("suite", ["all", "T2.16", "R2.14"])
+    def test_verify_seed_checked_before_any_suite(self, suite, capsys, monkeypatch):
+        # T2.16 and R2.14 draw nothing, so only the option check refuses the seed there
+        def no_suite(*args):
+            raise AssertionError("a suite ran before --seed was checked")
+
+        monkeypatch.setattr("harmap.cli.run_all", no_suite)
+        monkeypatch.setattr("harmap.cli.run_suite", no_suite)
+        assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
+        assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+
 
 @st.composite
 def harmonic_maps(draw):

@@ -51,7 +51,9 @@ class TestDraws:
 
     @pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 70])
     def test_members_come_in_chunks(self, count):
-        # a sampled check holds one chunk of maps at a time
+        # a sampled check holds one chunk of maps at a time; T2.12 splits a
+        # chunk into 4-member groups
+        assert verify.MEMBER_CHUNK % 4 == 0
         rec = _Recorder(".")
         chunks = list(rec.members(ClassId(ClassName.U_H0), 9, count, order=4))
         assert [len(chunk) for chunk in chunks[:-1]] == [verify.MEMBER_CHUNK] * (len(chunks) - 1)
@@ -135,37 +137,45 @@ class TestRunSuite:
         )
 
 
+#: (suite, description, member count) of every counted check that certifies
+#: membership, at CLASS_SAMPLES = 8, PAIR_SAMPLES = 4 and RADIUS_MEMBERS = 10
+MEMBERSHIP_CHECKS = [
+    ("T2.11", "closed under the product with the convex strip kernel", 8),
+    ("T2.12", "convex combinations of members stay inside", 2),
+    ("T3.3", "generator always passes membership", 8),
+    ("T3.3", "second-part rotations stay in the class", 100),
+    ("T3.5", "class closed under convolution", 2),
+    ("T3.5", "closed under product with", 4),
+    ("T3.7-C3.8", "per-part coefficient bounds", 8),
+    ("T3.9", "lands in", 4),
+    ("T3.9", "convex kernel preserves both classes", 8),
+    ("T3.10", "real-coefficient generator accepted", 100),
+    ("D4.1-C4.5", "operator lands R_H0 in W_H0 and U_H0 in V_H0", 8),
+    ("T4.7", "relative class membership holds", 10),
+    ("T4.8", "relative class membership holds", 10),
+]
+
+
 class TestMembershipWitnesses:
-    @pytest.mark.parametrize(
-        "suite_id, description, count",
-        [
-            ("T3.10", "real-coefficient generator accepted", 100),
-            ("T4.7", "relative class membership holds", 10),
-            ("T4.8", "relative class membership holds", 10),
-        ],
-    )
+    @pytest.mark.parametrize("suite_id, description, count", MEMBERSHIP_CHECKS)
     def test_rejected_members_are_named(self, suite_id, description, count, monkeypatch):
-        # T3.10 certifies one map at a time, T4.7 and T4.8 their members as one set
-        rejected = MembershipResult(False, -0.25, 0, "rejected")
+        # every counted membership check certifies through verify.memberships,
+        # so rejecting there fails each with its full member count, and fails
+        # nothing else
+        monkeypatch.setattr(verify, "CLASS_SAMPLES", 8)
+        monkeypatch.setattr(verify, "PAIR_SAMPLES", 4)
         monkeypatch.setattr(verify, "RADIUS_MEMBERS", 10)
-        monkeypatch.setattr(verify, "membership", lambda f, cid: rejected)
-        monkeypatch.setattr(verify, "memberships", lambda fs, cid: [rejected for _ in fs])
-        checks = [c for c in run_suite(suite_id).checks if c.description.startswith(description)]
+        monkeypatch.setattr(
+            verify, "memberships", lambda fs, cid: [MembershipResult(False, -0.25, 0, "rejected") for _ in fs]
+        )
+        report = run_suite(suite_id)
+        known = [d for s, d, _ in MEMBERSHIP_CHECKS if s == suite_id]
+        assert all(any(d in c.description for d in known) for c in report.checks if not c.passed)
+        checks = [c for c in report.checks if description in c.description]
         assert checks
         for check in checks:
             assert not check.passed
             assert check.measured.startswith(f"{count} (first: h[:4]=")
-            assert check.measured.endswith("margin=-2.500e-01)")
-
-    def test_t3_9_rejections_name_the_margin(self, monkeypatch):
-        monkeypatch.setattr(verify, "PAIR_SAMPLES", 3)
-        monkeypatch.setattr(verify, "RADIUS_MEMBERS", 3)
-        monkeypatch.setattr(verify, "membership", lambda f, cid: MembershipResult(False, -0.25, 0, "rejected"))
-        report = run_suite("T3.9")
-        counted = [c for c in report.checks if "lands in" in c.description or "kernel" in c.description]
-        assert len(counted) == 4
-        for check in counted:
-            assert not check.passed
             assert check.measured.endswith("margin=-2.500e-01)")
 
 
