@@ -3,8 +3,10 @@
 Maps travel as JSON documents ``{"order": N, "h": [[re, im], ...],
 "g": [[re, im], ...]}`` with coefficient arrays starting at the z^1
 term; ``g`` may be omitted and is then zero.  Coefficients must be
-finite: JSON ``NaN`` and ``Infinity`` are input errors, and so is a
-``--ref-map`` whose derivative vanishes in the certified disk.  Exit
+finite: JSON ``NaN`` and ``Infinity`` are input errors, and so are a
+``--ref-map`` whose derivative vanishes in the certified disk and a file
+that cannot be read or written (an ``OSError``: missing, a directory, no
+permission), named by its path.  Exit
 codes: 0 success or membership true, 1 membership false or suite
 failure, 2 usage or input errors.
 """
@@ -46,8 +48,12 @@ def _pairs_to_coeffs(pairs, order: int, name: str) -> np.ndarray:
 
 
 def load_map(path) -> HarmonicMap:
-    """Read a harmonic map from the JSON interchange format."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read a harmonic map from the JSON interchange format; a file that
+    cannot be read (missing, a directory, no permission) is an ``InputError``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -166,7 +172,10 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     f = _resolve_map(args.input, args.order)
     radii = [float(tok) for tok in args.radii.split(",") if tok]
-    render_image(f, radii, args.samples, args.out)
+    try:
+        render_image(f, radii, args.samples, args.out)
+    except OSError as exc:
+        raise InputError(f"--out {args.out}: {exc.strerror or exc}") from None
     print(f"wrote {args.out}")
     return 0
 
@@ -246,7 +255,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InputError, FileNotFoundError, SingularReferenceError) as exc:
+    except (InputError, OSError, SingularReferenceError) as exc:
+        # map files and render's --out raise InputError themselves; an
+        # OSError left here is a figure verify could not write to --out-dir
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

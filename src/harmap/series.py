@@ -131,36 +131,99 @@ def _coefficient_matrix(series, live: list[int]) -> tuple[np.ndarray, np.ndarray
     return matrix, np.array([series[k].const for k in live])
 
 
-def evaluate_stack(series, z: np.ndarray) -> np.ndarray:
+def evaluate_stack(series, z: np.ndarray, *, per_series: bool = False) -> np.ndarray:
     """Values of several series at the same points, one row per series.
 
     ``z`` is an ndarray of points with |z| < 1; row k, of ``z``'s shape,
     is ``series[k].evaluate(z)``, which is this function on one series.
-    One Horner loop runs over the nonzero series together, the shorter
-    ones padded with leading zero coefficients, which leave the
-    accumulator at +0, and every row has the bits it would have alone;
-    rows of identically zero series stay zero.
+    With ``per_series``, ``z`` holds one row of points per series, shape
+    (len(series), P), and row k is ``series[k].evaluate(z[k])``: a set of
+    maps evaluates each map's own points in one call, its shorter rows
+    padded with any points inside the disk.  One Horner loop runs over
+    the nonzero series together, the shorter ones padded with leading
+    zero coefficients, which leave the accumulator at +0, and every row
+    has the bits it would have alone; rows of identically zero series
+    stay zero.
     """
     z = np.asarray(z, dtype=np.complex128)
     _check_disk(z)
-    out = np.zeros((len(series),) + z.shape, dtype=np.complex128)
+    shape = z.shape[1:] if per_series else z.shape
+    out = np.zeros((len(series),) + shape, dtype=np.complex128)
     live = [k for k, s in enumerate(series) if not s._is_zero]
-    if z.size == 1 or len(live) <= 2:
+    if math.prod(shape) == 1 or len(live) <= 2:
         # one or two series run row by row on Python complex coefficients:
         # two rows alone cost less per step than a broadcast stack of them
         # (one map's pair on a 256-point circle is 15% faster); numpy
         # multiplies a lone element without the fused multiply-add it uses
         # on a stack of them, so one point runs row by row too
         for k in live:
-            s = series[k]
-            out[k] = s.const + _horner(s.coeffs[::-1].tolist(), z, np.zeros_like(z)) * z
+            s, w = series[k], z[k] if per_series else z
+            out[k] = s.const + _horner(s.coeffs[::-1].tolist(), w, np.zeros_like(w)) * w
     else:
         matrix, const = _coefficient_matrix(series, live)
-        column = (len(live),) + (1,) * z.ndim
+        column = (len(live),) + (1,) * len(shape)
         rows = matrix.T[::-1].reshape(matrix.shape[::-1] + column[1:])
-        acc = _horner(rows, z, np.zeros((len(live),) + z.shape, dtype=np.complex128))
-        out[live] = const.reshape(column) + acc * z
+        w = z[live] if per_series else z
+        acc = _horner(rows, w, np.zeros((len(live),) + shape, dtype=np.complex128))
+        out[live] = const.reshape(column) + acc * w
     return out
+
+
+def point_values(series):
+    """``at(z)``, the list of ``s.evaluate(z)`` for s in ``series`` at one
+    Python complex z with |z| < 1 (unchecked), bit for bit; each series'
+    reversed coefficient list is built once here rather than once per point."""
+    rows = [None if s._is_zero else (s.const, s.coeffs[::-1].tolist()) for s in series]
+
+    def at(z: complex) -> list[complex]:
+        return [0j if row is None else row[0] + _horner(row[1], z, 0j) * z for row in rows]
+
+    return at
+
+
+def point_batches(series):
+    """``at(rows, points)``, the list of ``series[k].evaluate(z)`` for k, z in
+    ``zip(rows, points)``, each a Python complex z with |z| < 1 (unchecked),
+    bit for bit, for many points of many series in one Horner loop.
+
+    Python's complex product rounds each of its four real products before
+    the sum, where numpy's complex multiply of an array fuses a product
+    into the sum; so the loop runs on split real and imaginary float
+    arrays, acc * z as (ar zr - ai zi, ar zi + ai zr) and then acc + c,
+    with every operation a separate rounding, and without overflow
+    warnings, as in Python.  The series are padded to the highest order
+    with leading +0 coefficients, which keep the accumulator at +0 + 0j,
+    its start; identically zero series give 0j.  The coefficient matrix
+    is built once, here.  A call costs 9 numpy operations per degree,
+    about 4.5 us per degree on 64 points and 8 to 10 us on 512 (orders 64
+    and 200), so it pays where :func:`point_values` would evaluate more
+    than about 70 points.
+    """
+    order = max(s.order for s in series)
+    zero = [s._is_zero for s in series]
+    descending = np.zeros((order, 2, len(series)))
+    const = np.zeros((2, len(series)))
+    for k, s in enumerate(series):
+        if not zero[k]:
+            reversed_coeffs = s.coeffs[::-1]
+            descending[order - s.order :, 0, k] = reversed_coeffs.real
+            descending[order - s.order :, 1, k] = reversed_coeffs.imag
+            const[:, k] = s.const.real, s.const.imag
+
+    def at(rows, points) -> list[complex]:
+        index = np.array(rows, dtype=np.intp)
+        zr = np.array([w.real for w in points])
+        zi = np.array([w.imag for w in points])
+        ar, ai = np.zeros(zr.size), np.zeros(zr.size)
+        with np.errstate(all="ignore"):
+            for degree in descending:
+                cr, ci = degree.take(index, axis=1)
+                ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
+            re = const[0, index] + (ar * zr - ai * zi)
+            im = const[1, index] + (ar * zi + ai * zr)
+        return [0j if zero[k] else complex(a, b) for k, a, b in zip(rows, re.tolist(), im.tolist())]
+
+    return at
 
 
 def circle_scan(series, radii, angles: int) -> tuple[np.ndarray, np.ndarray]:

@@ -32,10 +32,10 @@ from .classes import (
     sample_members,
 )
 from .geometry import (
-    convex_margins,
+    convex_margins_of,
     radius_estimate,
     starlike_margin,
-    starlike_margins,
+    starlike_margins_of,
     univalent_on_circle,
 )
 from .harmonic import (
@@ -197,18 +197,21 @@ def _rejections(cid: ClassId, images, shown=None) -> list[str | None]:
     ]
 
 
-def _worst(margins, maps, radii) -> tuple[float, int, float]:
-    """The least ``min_margin`` of ``margins(f, radii)`` over the maps f, with
-    the index of its map and its radius."""
+def _worst(margins_of, chunks, radii) -> tuple[float, int, float]:
+    """The least ``min_margin`` of ``margins_of(chunk, radii)`` over the maps of
+    the chunks, one call per chunk, with the index of its map counted over
+    all chunks, and its radius."""
+    reports = chain.from_iterable(margins_of(chunk, radii) for chunk in chunks)
     return min(
-        ((rep.min_margin, k, rep.r) for k, f in enumerate(maps) for rep in margins(f, radii)),
+        ((rep.min_margin, k, rep.r) for k, reps in enumerate(reports) for rep in reps),
         key=lambda item: item[0],
     )
 
 
 def _one_sided_convex(rec: _Recorder, label: str, members, bound: float) -> None:
     radii = [frac * (bound - ONE_SIDED_GAP) for frac in (0.25, 0.5, 0.75, 1.0)]
-    worst, k, r = _worst(convex_margins, members, radii)
+    chunks = (members[k : k + MEMBER_CHUNK] for k in range(0, len(members), MEMBER_CHUNK))
+    worst, k, r = _worst(convex_margins_of, chunks, radii)
     witness = _witness(members[k], f"member={k} r={r:.6f}")
     rec.at_least(
         f"{label}: min convex margin of {len(members)} members at radii <= "
@@ -544,8 +547,8 @@ def _suite_t3_5(rec: _Recorder, seed: int) -> None:
 
     chich = make(CatalogTag.CHICHRA_W, 64)
     worst, _, _ = _worst(
-        convex_margins,
-        (tilde_convolve(chich.h, f) for f in chain.from_iterable(rec.members(cid, seed + 9000, RADIUS_MEMBERS))),
+        convex_margins_of,
+        ([tilde_convolve(chich.h, f) for f in chunk] for chunk in rec.members(cid, seed + 9000, RADIUS_MEMBERS)),
         (0.3, 0.6, 0.9),
     )
     rec.at_least(
@@ -587,8 +590,8 @@ def _suite_t3_7(rec: _Recorder, seed: int) -> None:
     _one_sided_convex(rec, "convexity radius floor 1/2", members, 0.5)
 
     radii = (0.3, 0.6, 0.9)
-    worst_star, _, _ = _worst(starlike_margins, chain.from_iterable(rec.members(u_cid, seed + 23000, 100)), radii)
-    worst_conv, _, _ = _worst(convex_margins, chain.from_iterable(rec.members(v_cid, seed + 29000, 100)), radii)
+    worst_star, _, _ = _worst(starlike_margins_of, rec.members(u_cid, seed + 23000, 100), radii)
+    worst_conv, _, _ = _worst(convex_margins_of, rec.members(v_cid, seed + 29000, 100), radii)
     rec.at_least("U_H0 members fully starlike on sampled circles [sampled]", worst_star, 1e-9)
     rec.at_least("V_H0 members fully convex on sampled circles [sampled]", worst_conv, 1e-9)
 
@@ -642,8 +645,8 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
     )
 
     worst_conv, _, _ = _worst(
-        convex_margins,
-        (harmonic_convolve(f, F) for f, F in chain.from_iterable(rec.pairs(u_cid, seed + 600000, RADIUS_MEMBERS))),
+        convex_margins_of,
+        ([harmonic_convolve(f, F) for f, F in chunk] for chunk in rec.pairs(u_cid, seed + 600000, RADIUS_MEMBERS)),
         (0.3, 0.6, 0.9, 0.95),
     )
     rec.at_least("U*U convolutions convex on sampled circles [sampled]", worst_conv, 1e-9)
@@ -728,10 +731,10 @@ def _suite_d4(rec: _Recorder, seed: int) -> None:
     )
 
     r_cid, u_cid, v_cid, w_cid = map(ClassId, (ClassName.R_H0, ClassName.U_H0, ClassName.V_H0, ClassName.W_H0))
-    r_images = map(alexander_plus, chain.from_iterable(rec.members(r_cid, seed, 100)))
-    u_images = map(alexander_plus, chain.from_iterable(rec.members(u_cid, seed, 100)))
-    worst_star, _, _ = _worst(starlike_margins, r_images, (0.3, 0.6, 0.9))
-    worst_conv, _, _ = _worst(convex_margins, u_images, (0.3, 0.6, 0.9, 0.95))
+    r_images = ([alexander_plus(f) for f in chunk] for chunk in rec.members(r_cid, seed, 100))
+    u_images = ([alexander_plus(f) for f in chunk] for chunk in rec.members(u_cid, seed, 100))
+    worst_star, _, _ = _worst(starlike_margins_of, r_images, (0.3, 0.6, 0.9))
+    worst_conv, _, _ = _worst(convex_margins_of, u_images, (0.3, 0.6, 0.9, 0.95))
     rec.at_least("operator images of R_H0 members starlike on circles [sampled]", worst_star, 1e-9)
     rec.at_least("operator images of U_H0 members convex on circles, r<=0.95 [sampled]", worst_conv, 1e-9)
 
@@ -761,12 +764,12 @@ FIG_SERIES_ORDER = 1536
 
 def _suite_fig(rec: _Recorder, seed: int, which: str) -> None:
     tag, margin_fn, functional = {
-        "FIG1": (CatalogTag.ALEXANDER_PLUS_K, starlike_margins, "starlike"),
-        "FIG2": (CatalogTag.ALEXANDER_PLUS_L, convex_margins, "convex"),
+        "FIG1": (CatalogTag.ALEXANDER_PLUS_K, starlike_margins_of, "starlike"),
+        "FIG2": (CatalogTag.ALEXANDER_PLUS_L, convex_margins_of, "convex"),
     }[which]
     fname = f"{which.lower()}.svg"
     big = make(tag, FIG_SERIES_ORDER)
-    worst, _, _ = _worst(margin_fn, [big], FIG_MARGIN_RADII)
+    worst, _, _ = _worst(margin_fn, [[big]], FIG_MARGIN_RADII)
     rec.at_most(
         f"{tag.value}: {functional} margin goes negative on r in {FIG_MARGIN_RADII} [oracle]",
         worst,

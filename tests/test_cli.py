@@ -168,6 +168,34 @@ class TestExitCodes:
         assert main(["verify", "--suite", suite, "--seed", "-1"]) == 2
         assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--class", "R_H0", "--input", "DIR"],
+            ["convolve", "--a", "koebe", "--b", "DIR"],
+            ["classify", "--class", "R_H0_G", "--input", "koebe", "--ref-map", "DIR"],
+            ["render", "--input", "koebe", "--radii", "0.5", "--out", "DIR"],
+        ],
+    )
+    def test_directory_for_a_file_is_an_input_error(self, argv, tmp_path, capsys):
+        # exit 1 would read as "membership false"
+        argv = [str(tmp_path) if a == "DIR" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {'--out ' if argv[0] == 'render' else ''}{tmp_path}: Is a directory\n"
+        assert captured.out == ""
+
+    def test_missing_map_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert main(["classify", "--class", "R_H0", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"input error: {path}: No such file or directory\n"
+
+    def test_figure_that_cannot_be_written_is_an_input_error(self, tmp_path, capsys):
+        (tmp_path / "fig1.svg").mkdir()
+        assert main(["verify", "--suite", "FIG1", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and str(tmp_path / "fig1.svg") in err
+
 
 @st.composite
 def harmonic_maps(draw):

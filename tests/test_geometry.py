@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from harmap.catalog import CatalogTag, make
-from harmap.classes import ClassId, ClassName, sample_member
+from harmap.classes import ClassId, ClassName, sample_member, sample_members
+import harmap.geometry
 from harmap.geometry import (
     DEGENERACY_TOL,
+    LOCKSTEP_CIRCLES,
     MARGIN_ANGLES,
     PAIR_CHUNK,
     DegenerateCurveError,
@@ -19,9 +21,11 @@ from harmap.geometry import (
     SamplingGrid,
     convex_margin,
     convex_margins,
+    convex_margins_of,
     radius_estimate,
     starlike_margin,
     starlike_margins,
+    starlike_margins_of,
     _circle,
     _crosses,
     _polygon_is_simple,
@@ -252,6 +256,102 @@ class TestSeveralRadii:
         with pytest.raises(ValueError):
             convex_margins(identity_map(), (0.5, 1.0))
         assert starlike_margins(identity_map(), ()) == []
+
+
+def assert_set_matches_one_by_one(maps, radii):
+    """The margins of a set equal the one-circle margins map by map, or raise
+    the error the map-by-map loop raises first."""
+    for kind, margins_of in (("starlike", starlike_margins_of), ("convex", convex_margins_of)):
+        try:
+            expected = [[one_circle_minimum(kind, f, r) for r in radii] for f in maps]
+        except DegenerateCurveError as exc:
+            with pytest.raises(DegenerateCurveError) as raised:
+                margins_of(maps, radii)
+            assert str(raised.value) == str(exc)
+            continue
+        got = margins_of(maps, radii)
+        assert [[(rep.functional, rep.r) for rep in reps] for reps in got] == [[(kind, r) for r in radii]] * len(maps)
+        assert [[(rep.min_margin.hex(), rep.witness_angle.hex()) for rep in reps] for reps in got] == [
+            [(float(v).hex(), float(t).hex()) for v, t in row] for row in expected
+        ]
+
+
+MARGIN_CLASSES = [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0, ClassName.U_H0, ClassName.V_H0]
+
+
+@st.composite
+def map_sets(draw):
+    """1 to 24 maps: sampled members, catalog maps and members with g = 0, of orders 2 to 300."""
+    maps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+        kind = draw(st.sampled_from(["member", "catalog", "analytic"]))
+        order = draw(st.integers(min_value=2, max_value=300))
+        if kind == "catalog":
+            maps.append(make(draw(st.sampled_from(list(CatalogTag))), order))
+        else:
+            f = sample_member(ClassId(draw(st.sampled_from(MARGIN_CLASSES))), draw(st.integers(0, 10**6)), order)
+            maps.append(analytic_map(f.h) if kind == "analytic" else f)
+    return maps
+
+
+class TestMarginSets:
+    """``starlike_margins_of``/``convex_margins_of`` against the one-circle code, map by map."""
+
+    @given(maps=map_sets(), radii=radius_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_random_sets_match_one_circle(self, maps, radii):
+        assert_set_matches_one_by_one(maps, radii)
+
+    def test_verify_sets_match_one_circle(self):
+        # a member chunk as verify passes it: 32 maps at 4 radii
+        members = sample_members(ClassId(ClassName.U_H0), range(32), 64)
+        assert_set_matches_one_by_one(members, (0.3, 0.6, 0.9, 0.95))
+
+    @pytest.mark.parametrize("lockstep", [1, LOCKSTEP_CIRCLES, 10**9])
+    def test_refinement_paths_agree(self, lockstep, monkeypatch):
+        # 1: every round batched; the default: large rounds batched, the tail
+        # point by point; 10**9: every circle refined alone
+        maps = sample_members(ClassId(ClassName.R_H0), range(10), 64) + sample_members(
+            ClassId(ClassName.V_H0), range(10), 200
+        )
+        maps += [make(CatalogTag.KOEBE, 64), analytic_map(maps[0].h)]
+        monkeypatch.setattr(harmap.geometry, "LOCKSTEP_CIRCLES", lockstep)
+        assert_set_matches_one_by_one(maps, (0.2, 0.5, 0.8))
+
+    @pytest.mark.parametrize("good", [1, 12])
+    def test_degenerate_map_raises_as_the_loop_does(self, good):
+        # f = z - z^2/r0 passes through 0 and f' = 1 - z/r0 vanishes at z = r0;
+        # the later map's degenerate radius 0.3 comes first in radius order,
+        # but the loop over maps raises for the earlier map's 0.5
+        members = sample_members(ClassId(ClassName.U_H0), range(good), 64)
+        for margins, margins_of, scale in ((starlike_margins, starlike_margins_of, 1.0), (convex_margins, convex_margins_of, 0.5)):
+            first = analytic_map(AnalyticSeries([1.0, -scale / 0.5]))
+            second = analytic_map(AnalyticSeries([1.0, -scale / 0.3]))
+            maps = members + [first] + members + [second]
+            with pytest.raises(DegenerateCurveError) as loop:
+                for f in maps:
+                    margins(f, (0.3, 0.5, 0.7))
+            with pytest.raises(DegenerateCurveError, match="r=0.5$") as whole:
+                margins_of(maps, (0.3, 0.5, 0.7))
+            assert str(whole.value) == str(loop.value)
+
+    def test_numpy_radii_give_the_python_float_bits(self):
+        # a numpy radius once made the point r * exp(i t) a numpy scalar, so the
+        # refinement ran in numpy arithmetic and the last bits moved
+        radii = (0.3, 0.6, 0.9)
+        for seed in range(8):
+            f = sample_member(ClassId(ClassName.R_H0), seed, 64)
+            for margins in (starlike_margins, convex_margins):
+                plain = margins(f, radii)
+                numpy_radii = margins(f, np.array(radii))
+                assert all(type(rep.r) is float for rep in numpy_radii)
+                assert [(rep.r, rep.min_margin.hex(), rep.witness_angle.hex()) for rep in numpy_radii] == [
+                    (rep.r, rep.min_margin.hex(), rep.witness_angle.hex()) for rep in plain
+                ]
+
+    def test_empty_sets(self):
+        assert starlike_margins_of([], (0.5,)) == []
+        assert convex_margins_of([identity_map(), identity_map()], ()) == [[], []]
 
 
 class TestMarginCrossChecks:

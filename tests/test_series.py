@@ -13,6 +13,8 @@ from harmap.series import (
     convolve,
     evaluate_stack,
     linear_combine,
+    point_batches,
+    point_values,
 )
 
 finite_complex = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
@@ -232,6 +234,91 @@ class TestEvaluateStack:
         for z in (1.0, math.nan, math.inf, complex(math.nan, 0.0)):
             with pytest.raises(DomainError):
                 evaluate_stack([identity_series(3)], np.array([0.5, z]))
+
+    @pytest.mark.parametrize("points", [1, 2, 3, 40])
+    @pytest.mark.parametrize("chosen", [[0, 1, 2, 3, 4, 5], [0, 2], [2, 4], [5]])
+    def test_per_series_rows(self, points, chosen):
+        rng = np.random.default_rng(points * 10 + len(chosen))
+        pool = [
+            random_series(rng, 300, const=0.25j),
+            random_series(rng, 7),
+            AnalyticSeries(np.zeros(40)),
+            random_series(rng, 1, const=-1.5),
+            AnalyticSeries(np.zeros(5), const=2.0),
+            random_series(rng, 64),
+        ]
+        series = [pool[k] for k in chosen]
+        z = 0.99 * rng.uniform(0.0, 1.0, points) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, points))
+        # the shared points on every row give the shared-point form
+        shared = evaluate_stack(series, np.broadcast_to(z, (len(series), points)), per_series=True)
+        assert shared.tobytes() == evaluate_stack(series, z).tobytes()
+        rows = 0.99 * rng.uniform(0.0, 1.0, (len(series), points)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(series), points)))
+        got = evaluate_stack(series, rows, per_series=True)
+        assert got.shape == (len(series), points)
+        for s, w, row in zip(series, rows, got):
+            assert row.tobytes() == np.ascontiguousarray(s.evaluate(w)).tobytes()
+
+    def test_per_series_rows_outside_disk_rejected(self):
+        with pytest.raises(DomainError):
+            evaluate_stack([identity_series(3)] * 3, np.array([[0.5, 0.1]] * 2 + [[0.5, 1.0]]), per_series=True)
+
+
+def hexes(w: complex):
+    return w.real.hex(), w.imag.hex()
+
+
+# the signs of zero parts must survive too
+SIGNED_POINTS = [0j, complex(-0.0, 0.5), complex(-0.5, -0.0), complex(0.0, -0.0), -0.9j, complex(-0.6, 0.7)]
+
+
+class TestPointEvaluators:
+    """``point_values`` and ``point_batches`` equal ``evaluate`` at a point, bit for bit."""
+
+    def series(self, rng):
+        return [
+            random_series(rng, 300, const=0.25j),
+            random_series(rng, 7),
+            AnalyticSeries(np.zeros(40)),
+            random_series(rng, 1, const=-1.5),
+            AnalyticSeries(np.zeros(5), const=2.0),
+            AnalyticSeries(np.zeros(3), const=complex(-0.0, -0.0)),
+            random_series(rng, 2048, decay=0.5),
+            AnalyticSeries([complex(-0.0, 0.0), complex(0.0, -0.0), 1.0]),
+        ]
+
+    def test_batches_equal_evaluate(self):
+        rng = np.random.default_rng(11)
+        series = self.series(rng)
+        points = SIGNED_POINTS + list(0.99 * np.sqrt(rng.uniform(0.0, 1.0, 60)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 60)))
+        points = [complex(w) for w in points]
+        rows = [int(k) for k in rng.integers(0, len(series), len(points))] + [k % len(series) for k in range(len(points))]
+        got = point_batches(series)(rows, points + points)
+        assert len(got) == len(rows)
+        for k, w, value in zip(rows, points + points, got):
+            assert type(value) is complex
+            assert hexes(value) == hexes(series[k].evaluate(w))
+
+    def test_values_equal_evaluate(self):
+        rng = np.random.default_rng(12)
+        series = self.series(rng)
+        at = point_values(series)
+        for w in SIGNED_POINTS + [complex(0.5, 0.3), complex(-0.98, 0.1)]:
+            assert [hexes(v) for v in at(w)] == [hexes(s.evaluate(w)) for s in series]
+
+    @given(
+        series=st.lists(series_strategy, min_size=1, max_size=5),
+        picks=st.lists(
+            st.tuples(st.integers(min_value=0, max_value=4), st.floats(0.0, 0.999), st.floats(-4.0, 4.0)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_batches_equal_evaluate(self, series, picks):
+        rows = [k % len(series) for k, _, _ in picks]
+        points = [r * complex(math.cos(t), math.sin(t)) for _, r, t in picks]
+        got = point_batches(series)(rows, points)
+        assert [hexes(v) for v in got] == [hexes(series[k].evaluate(w)) for k, w in zip(rows, points)]
 
 
 def circle_points(r, angles):
