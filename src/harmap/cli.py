@@ -4,9 +4,9 @@ Maps travel as JSON documents ``{"order": N, "h": [[re, im], ...],
 "g": [[re, im], ...]}`` with coefficient arrays starting at the z^1
 term; ``g`` may be omitted and is then zero.  Coefficients must be
 finite: JSON ``NaN`` and ``Infinity`` are input errors, and so are a
-``--ref-map`` whose derivative vanishes in the certified disk and a file
-that cannot be read or written (an ``OSError``: missing, a directory, no
-permission), named by its path.  Exit
+``--ref-map`` whose derivative vanishes in the certified disk and a map
+file, ``render --out`` or a figure of ``verify`` that cannot be read or
+written (missing, a directory, no permission), named by its path.  Exit
 codes: 0 success or membership true, 1 membership false or suite
 failure, 2 usage or input errors.
 """
@@ -156,11 +156,15 @@ def _cmd_radius(args) -> int:
 def _cmd_verify(args) -> int:
     if not Path(args.out_dir).is_dir():
         raise InputError(f"--out-dir {args.out_dir}: not an existing directory")
-    reports = (
-        run_all(args.seed, args.out_dir)
-        if args.suite == "all"
-        else [run_suite(args.suite, args.seed, args.out_dir)]
-    )
+    try:
+        reports = (
+            run_all(args.seed, args.out_dir)
+            if args.suite == "all"
+            else [run_suite(args.suite, args.seed, args.out_dir)]
+        )
+    except OSError as exc:
+        # the suites' only files are the figures they write to --out-dir
+        raise InputError(f"{exc.filename}: {exc.strerror or exc}") from None
     ok = True
     for rep in reports:
         print(rep)
@@ -255,9 +259,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (InputError, OSError, SingularReferenceError) as exc:
-        # map files and render's --out raise InputError themselves; an
-        # OSError left here is a figure verify could not write to --out-dir
+    except (InputError, SingularReferenceError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

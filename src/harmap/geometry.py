@@ -17,11 +17,12 @@ neighbours for the whole set, and every reported value comes from those
 Horner values and the refinement, bit for bit as if each whole circle of
 each map had been evaluated by Horner alone.  That costs one FFT per map
 and Horner at a few points per circle instead of Horner at all of them.
-The refinement of a set of at least ``LOCKSTEP_CIRCLES`` circles runs in
-lockstep, one batched Horner call per round for the points all circles
-ask for; a smaller set, such as one map at a few radii, refines circle
-by circle.  The margins of 32 members at 4 radii take 30% (order 64) to
-45% (order 200) less time as one set than map by map.
+The refinement runs all circles of the set in lockstep; a round in which
+at least ``LOCKSTEP_CIRCLES`` circles ask for a point evaluates them in
+one batched Horner call, a smaller round, such as every round of one map
+at a few radii, point by point.  The convex margins of 32 members at 4
+radii take 40% (order 64) to 49% (order 200) less time as one set than
+map by map.
 Positive margins certify the property on that circle.  Radius
 estimation locates the first radius where a property fails by a scan
 followed by bisection.  A ``SamplingGrid`` is the one circle, of
@@ -41,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .harmonic import HarmonicMap, eval_map, jacobian
-from .series import EPS, circle_scan, evaluate_stack, point_batches, point_values
+from .series import EPS, circle_scan, evaluate_stack, point_batches
 
 DEGENERACY_TOL = 1e-12
 
@@ -207,7 +208,9 @@ class _Functional:
 
     def __call__(self, r: float, z, *values):
         num, den = self.quotient(z, *values)
-        if np.min(np.abs(den)) < DEGENERACY_TOL:
+        # a refinement point comes as one Python complex, which abs tests
+        # for a fraction of what numpy's reduction costs on it
+        if (abs(den) if isinstance(den, complex) else np.min(np.abs(den))) < DEGENERACY_TOL:
             raise DegenerateCurveError(self.degenerate.format(r=r))
         return getattr(num / den, self.part)
 
@@ -267,24 +270,26 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
     keeps memory at one tuple's scan, plus Horner at the kept points,
     which are 3 per circle in the median and up to about a thousand where
     the interval is wide (orders in the thousands at r near 1, measured
-    on catalog maps); rows shorter than the widest are padded.
+    on catalog maps).  Every row is padded to the widest, so Horner runs
+    at (tuples x series) times that width: one wide map in a set makes
+    every map of the set pay its width.  The member chunks of ``verify``
+    (orders 64 and 200, radii up to 0.95) pad to 12 points in
+    ``run_all(42)``; a set mixing high-order maps near r = 1 with many
+    others is cheaper split by width.
 
-    The refinement evaluates a few points per circle one after another,
-    two in the mean and up to ``MAX_REFINEMENTS``.  Dispatch rule: a set
-    of fewer than ``LOCKSTEP_CIRCLES`` circles refines circle by circle,
-    its points evaluated on Python complex numbers (:func:`point_values`);
-    a larger set refines all its circles in lockstep
-    (:func:`_refine_in_lockstep`), and a round in which at least
-    ``LOCKSTEP_CIRCLES`` circles ask for a point evaluates them all with
-    one :func:`point_batches` call.  Both paths give the same bits.  The
+    The refinement (:func:`_refine_in_lockstep`) evaluates a few points
+    per circle, two in the mean and up to ``MAX_REFINEMENTS``, all
+    circles in rounds.  Dispatch rule, per round: at least
+    ``LOCKSTEP_CIRCLES`` asking circles are evaluated by one
+    :func:`point_batches` call, fewer point by point by
+    :meth:`AnalyticSeries.evaluate`; both give the same bits.  The
     crossover, measured on U_H0 members' convex series (4 per circle):
     one batched call costs what 16 to 20 circles cost point by point, at
     orders 64 (0.30 against 0.26 ms at 16 circles, 0.32 against 0.33 ms
     at 20) and 200 (0.90 against 0.81 ms, 0.92 against 1.02 ms); at 128
     circles it is 3.3 to 4 times faster.  So one-map calls at a few radii
-    (``radius_estimate``, the figure suites) stay point by point, and the
-    member chunks of ``verify`` go in lockstep until their last few
-    circles.
+    (``radius_estimate``, the figure suites) go point by point, and the
+    member chunks of ``verify`` are batched until their last few circles.
     """
     if not radii or not stacks:
         return [[] for _ in stacks]
@@ -326,42 +331,21 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
             bracket = (float(theta[i]), 2.0 * np.pi / MARGIN_ANGLES, float(margin[left]), float(margin[k]), float(margin[right]))
             circles.append((m, r, bracket))
 
-    refine = _refine_each if len(circles) < LOCKSTEP_CIRCLES else _refine_in_lockstep
-    minima = [(value, angle % (2.0 * np.pi)) for angle, value in refine(functional, stacks, circles)]
+    minima = [(value, angle % (2.0 * np.pi)) for angle, value in _refine_in_lockstep(functional, stacks, circles)]
     return [minima[m * len(radii) : (m + 1) * len(radii)] for m in range(len(stacks))]
-
-
-def _refine_each(functional: _Functional, stacks, circles) -> list[tuple[float, float]]:
-    """(angle, value) of each circle's :func:`_refine_minimum`, circle by circle
-    in order, its points evaluated on Python complex numbers; an entry of
-    ``circles`` that is an error, or a circle whose point raises, raises."""
-    evaluators = [point_values(series) for series in stacks]
-    results = []
-    for circle in circles:
-        if isinstance(circle, DegenerateCurveError):
-            raise circle
-        m, r, bracket = circle
-
-        def margin_at(t: float, r=r, at=evaluators[m]) -> float:
-            zt = r * cmath.exp(1j * t)
-            return float(functional(r, zt, *at(zt)))
-
-        results.append(_refine_minimum(margin_at, *bracket))
-    return results
 
 
 def _refine_in_lockstep(functional: _Functional, stacks, circles) -> list[tuple[float, float]]:
     """(angle, value) of each circle's :func:`_refinement`, the steps of all
     circles taken in rounds.  Each round evaluates the point every
     unfinished circle asks for, with one :func:`point_batches` call while
-    at least ``LOCKSTEP_CIRCLES`` circles ask and point by point after, and
-    passes the values as Python complex numbers to the scalar
+    at least ``LOCKSTEP_CIRCLES`` circles ask and point by point otherwise,
+    and passes the values as Python complex numbers to the scalar
     ``functional``.  An entry of ``circles`` that is an error, or a circle
     whose point raises, is raised for the first such circle in order once
     all have finished."""
     size = len(stacks[0])
-    batch = point_batches([s for series in stacks for s in series])
-    scalar = {}
+    batch = None
     results = list(circles)
     asking = {}
     for c, circle in enumerate(circles):
@@ -375,13 +359,12 @@ def _refine_in_lockstep(functional: _Functional, stacks, circles) -> list[tuple[
         points = [circles[c][1] * cmath.exp(1j * t) for c, (_, t) in asking.items()]
         maps = [circles[c][0] for c in asking]
         if len(asking) >= LOCKSTEP_CIRCLES:
+            if batch is None:
+                batch = point_batches([s for series in stacks for s in series])
             flat = batch([m * size + k for m in maps for k in range(size)], [zt for zt in points for _ in range(size)])
             values = [flat[n * size : (n + 1) * size] for n in range(len(points))]
         else:
-            for m in maps:
-                if m not in scalar:
-                    scalar[m] = point_values(stacks[m])
-            values = [scalar[m](zt) for m, zt in zip(maps, points)]
+            values = [[s.evaluate(zt) for s in stacks[m]] for m, zt in zip(maps, points)]
         still = {}
         for (c, (steps, _)), zt, v in zip(asking.items(), points, values):
             try:

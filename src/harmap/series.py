@@ -80,11 +80,23 @@ class AnalyticSeries:
             raise DomainError(_DISK_MESSAGE)
         if self._is_zero:
             return 0j
-        return self.const + _horner(self.coeffs[::-1].tolist(), z, 0j) * z
+        return self.const + _horner(self._descending, z, 0j) * z
 
-    @property
+    @functools.cached_property
     def _is_zero(self) -> bool:
         return not (self.const or self.coeffs.any())
+
+    @functools.cached_property
+    def _descending(self) -> list[complex]:
+        """The coefficients from the highest degree down, as Python complex
+        numbers: Horner's rows at a scalar, built on the first scalar
+        evaluation and cached like :meth:`derivative`, so a point costs
+        the loop alone.  The list holds about 40 bytes per coefficient for
+        the series' lifetime, so the array rows of :func:`evaluate_stack`,
+        whose loop costs far more than building it, build their own per
+        call: cached there too, it added 2 MB to the peak memory of the
+        high-order catalog maps' univalence tests."""
+        return self.coeffs[::-1].tolist()
 
     def derivative(self) -> "AnalyticSeries":
         """Termwise derivative, truncation max(N - 1, 1).
@@ -169,18 +181,6 @@ def evaluate_stack(series, z: np.ndarray, *, per_series: bool = False) -> np.nda
     return out
 
 
-def point_values(series):
-    """``at(z)``, the list of ``s.evaluate(z)`` for s in ``series`` at one
-    Python complex z with |z| < 1 (unchecked), bit for bit; each series'
-    reversed coefficient list is built once here rather than once per point."""
-    rows = [None if s._is_zero else (s.const, s.coeffs[::-1].tolist()) for s in series]
-
-    def at(z: complex) -> list[complex]:
-        return [0j if row is None else row[0] + _horner(row[1], z, 0j) * z for row in rows]
-
-    return at
-
-
 def point_batches(series):
     """``at(rows, points)``, the list of ``series[k].evaluate(z)`` for k, z in
     ``zip(rows, points)``, each a Python complex z with |z| < 1 (unchecked),
@@ -196,8 +196,8 @@ def point_batches(series):
     its start; identically zero series give 0j.  The coefficient matrix
     is built once, here.  A call costs 9 numpy operations per degree,
     about 4.5 us per degree on 64 points and 8 to 10 us on 512 (orders 64
-    and 200), so it pays where :func:`point_values` would evaluate more
-    than about 70 points.
+    and 200), so it pays where :meth:`AnalyticSeries.evaluate` would take
+    more than about 70 points one at a time.
     """
     order = max(s.order for s in series)
     zero = [s._is_zero for s in series]

@@ -310,7 +310,7 @@ class TestMarginSets:
     @pytest.mark.parametrize("lockstep", [1, LOCKSTEP_CIRCLES, 10**9])
     def test_refinement_paths_agree(self, lockstep, monkeypatch):
         # 1: every round batched; the default: large rounds batched, the tail
-        # point by point; 10**9: every circle refined alone
+        # point by point; 10**9: every round point by point
         maps = sample_members(ClassId(ClassName.R_H0), range(10), 64) + sample_members(
             ClassId(ClassName.V_H0), range(10), 200
         )
