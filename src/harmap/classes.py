@@ -103,7 +103,7 @@ def _defining_pair(f: HarmonicMap, c: ClassId) -> tuple[AnalyticSeries, Analytic
     if c.name is ClassName.W_H0:
         # (z h')' and (z g')' have coefficients n^2 a_n: n times those of h', g'
         n = np.arange(2, hp.order + 2)
-        hp, gp = (AnalyticSeries(n * s.coeffs, const=s.const) for s in (hp, gp))
+        hp, gp = (AnalyticSeries._own(n * s.coeffs, const=s.const) for s in (hp, gp))
     return hp, gp
 
 
@@ -111,12 +111,16 @@ def _grid_slack(fs: list[HarmonicMap], c: ClassId, z: np.ndarray) -> np.ndarray:
     """The slack of each map's defining pair (u, v) at the points z, one row per map.
 
     One :func:`evaluate_stack` call evaluates every pair, and G' for the
-    _G classes, which is tested once for the whole set.
+    _G classes, which is tested once for the whole set.  A series shared
+    by several maps, such as the h' of a map's rotations h + conj(lambda g),
+    is evaluated once, and its row serves each of them.
     """
     series = [s for f in fs for s in _defining_pair(f, c)]
     if c.reference_map is not None:
         series.append(c.reference_map.derivative())
-    values = evaluate_stack(series, z)
+    distinct = {id(s): s for s in series}
+    row = {key: k for k, key in enumerate(distinct)}
+    values = evaluate_stack(list(distinct.values()), z)[[row[id(s)] for s in series]]
     if c.reference_map is not None:
         gref = values[-1]
         # a zero inside makes G' wind about 0 along the circle (argument principle)
@@ -252,33 +256,46 @@ def coefficient_bound_check(f: HarmonicMap, c: ClassId, n_max: int) -> BoundChec
     return BoundCheckReport(gaps, bounds, violations)
 
 
-def _normalized(a, b) -> HarmonicMap:
-    """The map with h = z + sum a_n z^n and g = sum b_n z^n, n = 2, 3, ..."""
-    h, g = np.zeros((2, len(a) + 1), dtype=np.complex128)
-    h[0] = 1.0
-    h[1:], g[1:] = a, b
-    return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+def _maps(h: np.ndarray, g: np.ndarray) -> list[HarmonicMap]:
+    """One map per row of the coefficient stacks h and g, just computed: each
+    series owns its row."""
+    return [HarmonicMap(AnalyticSeries._own(hk), AnalyticSeries._own(gk)) for hk, gk in zip(h, g)]
+
+
+def _normalized(a, b) -> list[HarmonicMap]:
+    """The maps with h = z + sum a_n z^n and g = sum b_n z^n, n = 2, 3, ..., one
+    per row of the stack a (and of b, which may also be a number)."""
+    h, g = np.zeros((2, len(a), a.shape[-1] + 1), dtype=np.complex128)
+    h[:, 0] = 1.0
+    h[:, 1:], g[:, 1:] = a, b
+    return _maps(h, g)
 
 
 def _split_complex(rng: np.random.Generator, size: int) -> np.ndarray:
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
-def _sample_coefficient_class(c: ClassId, rng: np.random.Generator, order: int) -> HarmonicMap:
+def _sample_coefficient_class(c: ClassId, seeds, order: int) -> list[HarmonicMap]:
     n = np.arange(2, order + 1)
     weight = n if c.name is ClassName.U_H0 else n.astype(float) ** 2
-    raw_a = _split_complex(rng, n.size) / n**2
-    raw_b = 0.5 * _split_complex(rng, n.size) / n**2
-    total = float(np.sum(weight * (np.abs(raw_a) + np.abs(raw_b))))
-    target = rng.uniform(0.3, 1.0)
-    scale = target / total
+    za, zb, targets = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        za.append(_split_complex(rng, n.size))
+        zb.append(_split_complex(rng, n.size))
+        targets.append(rng.uniform(0.3, 1.0))
+    # one row per seed, (0, N - 1) when there are none
+    raw_a = np.reshape(za, (-1, n.size)) / n**2
+    raw_b = 0.5 * np.reshape(zb, (-1, n.size)) / n**2
+    total = np.sum(weight * (np.abs(raw_a) + np.abs(raw_b)), axis=-1)
+    scale = (np.array(targets) / total)[:, None]
     return _normalized(raw_a * scale, raw_b * scale)
 
 
 def _grid_scale(name: ClassName, grid: SamplingGrid, qs, ps, targets) -> list[float]:
     """Per draw k, the scale s that puts the circle slack of 1 + s*qs[k], s*ps[k] at
     ``targets[k]``, from one circle scan of every draw."""
-    series = [AnalyticSeries(w) for pair in zip(qs, ps) for w in pair]
+    series = [AnalyticSeries._own(w) for pair in zip(qs, ps) for w in pair]
     values, _ = circle_scan(series, (grid.radius,), GRID_ANGLES)
     qv, pv = values[0::2, 0], values[1::2, 0]
     if name in _F_CLASSES:
@@ -292,33 +309,37 @@ def _sample_derivative_class(c: ClassId, seeds, order: int) -> list[HarmonicMap]
     # draw h' (or h' + z h'', or h'-1) as 1 + s*q and the g side as s*p,
     # then choose s so the circle slack hits a target in [0.1, 0.7]
     m = np.arange(1, order)
-    qs, ps, targets = [], [], []
+    zq, zp, targets = [], [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
-        qs.append(_split_complex(rng, m.size) / m**2)
-        ps.append(0.4 * _split_complex(rng, m.size) / m**2)
+        zq.append(_split_complex(rng, m.size))
+        zp.append(0.4 * _split_complex(rng, m.size))
         targets.append(rng.uniform(0.1, 0.7))
+    q, p = np.reshape(zq, (-1, m.size)) / m**2, np.reshape(zp, (-1, m.size)) / m**2
+    scale = np.array(_grid_scale(c.name, _certifying_grid(c), q, p, targets))[:, None]
+    u, v = np.zeros((2, len(q), order), dtype=np.complex128)
+    u[:, 0] = 1.0
+    u[:, 1:], v[:, 1:] = scale * q, scale * p
     if c.reference_map is not None:
+        # relative classes: multiply the pair through G' so the ratio
+        # h'/G' is exactly 1 + s*q at every point of the disk
         gp = c.reference_map.derivative()
         gp_poly = np.concatenate(([gp.const], gp.coeffs))
+        u, v = (np.reshape([np.convolve(gp_poly, w)[:order] for w in rows], (-1, order)) for rows in (u, v))
     # h' has coefficients n a_n, and h' + z h'' has n^2 a_n
     n = np.arange(1, order + 1) ** (2 if c.name is ClassName.W_H0 else 1)
-    draws = []
-    for q, p, s in zip(qs, ps, _grid_scale(c.name, _certifying_grid(c), qs, ps, targets)):
-        u, v = np.concatenate(([1.0], s * q)), np.concatenate(([0.0], s * p))
-        if c.reference_map is not None:
-            # relative classes: multiply the pair through G' so the ratio
-            # h'/G' is exactly 1 + s*q at every point of the disk
-            u, v = (np.convolve(gp_poly, w)[:order] for w in (u, v))
-        draws.append(HarmonicMap(AnalyticSeries(u / n), AnalyticSeries(v / n)))
-    return draws
+    return _maps(u / n, v / n)
 
 
-def _sample_real(rng: np.random.Generator, order: int) -> HarmonicMap:
+def _sample_real(seeds, order: int) -> list[HarmonicMap]:
     n = np.arange(2, order + 1)
-    raw = rng.standard_normal(n.size) / n**2
-    target = rng.uniform(0.3, 1.0)
-    raw *= target / np.sum(n * np.abs(raw))
+    draws, targets = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        draws.append(rng.standard_normal(n.size))
+        targets.append(rng.uniform(0.3, 1.0))
+    raw = np.reshape(draws, (-1, n.size)) / n**2
+    raw *= (np.array(targets) / np.sum(n * np.abs(raw), axis=-1))[:, None]
     return _normalized(raw, 0.0)
 
 
@@ -349,8 +370,8 @@ def sample_members(c: ClassId, seeds, order: int = 64) -> list[HarmonicMap]:
     if c.name in GRID_CLASSES:
         return _sample_derivative_class(c, seeds, order)
     if c.name in (ClassName.U_H0, ClassName.V_H0):
-        return [_sample_coefficient_class(c, np.random.default_rng(seed), order) for seed in seeds]
-    return [_sample_real(np.random.default_rng(seed), order) for seed in seeds]
+        return _sample_coefficient_class(c, seeds, order)
+    return _sample_real(seeds, order)
 
 
 def sample_member(c: ClassId, seed: int, order: int = 64) -> HarmonicMap:

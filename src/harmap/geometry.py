@@ -145,8 +145,19 @@ def _check_radius(r: float) -> None:
 
 
 def _refinement(b: float, h: float, fa: float, fb: float, fc: float):
-    """The steps of :func:`_refine_minimum` as a generator: it yields each
-    angle to evaluate, is sent the value there, and returns (angle, value)."""
+    """Smallest evaluated value of a function in [b - h, b + h], given its
+    values fa, fb, fc at b - h, b, b + h with fb <= fa, fc, as a generator:
+    it yields each angle to evaluate, is sent the value there, and returns
+    (angle, value) of the best point evaluated.
+
+    Successive parabolic interpolation through the three lowest points.
+    Stops when the parabola is not convex (the values are flat to
+    rounding), when its vertex leaves the bracket, when the step is below
+    ``ANGLE_TOL`` or the predicted gain below ``VALUE_TOL``, when a
+    second or later step gains nothing (rounding noise), or after
+    ``MAX_REFINEMENTS`` evaluations.  :func:`_refine_in_lockstep` drives
+    many at once.
+    """
     points = [(fb, b), (fa, b - h), (fc, b + h)]
     if not all(math.isfinite(v) for v, _ in points):
         return b, fb
@@ -168,27 +179,6 @@ def _refinement(b: float, h: float, fa: float, fb: float, fc: float):
             break
     value, angle = min(points)
     return angle, value
-
-
-def _refine_minimum(fn, b: float, h: float, fa: float, fb: float, fc: float):
-    """Smallest evaluated value of fn in [b - h, b + h], given fn(b) <= fn(b -+ h).
-
-    Successive parabolic interpolation through the three lowest points.
-    Stops when the parabola is not convex (the values are flat to
-    rounding), when its vertex leaves the bracket, when the step is below
-    ``ANGLE_TOL`` or the predicted gain below ``VALUE_TOL``, when a
-    second or later step gains nothing (rounding noise), or after
-    ``MAX_REFINEMENTS`` evaluations.  Returns (angle, value) of the best
-    point evaluated.  This drives :func:`_refinement` with fn point by
-    point; :func:`_refine_in_lockstep` drives many at once.
-    """
-    steps = _refinement(b, h, fa, fb, fc)
-    try:
-        t = next(steps)
-        while True:
-            t = steps.send(fn(t))
-    except StopIteration as done:
-        return done.value
 
 
 @dataclass(frozen=True)

@@ -77,11 +77,15 @@ def jacobian(f: HarmonicMap, z):
     return float(out) if out.ndim == 0 else out
 
 
-def slice_map(f: HarmonicMap, eps) -> AnalyticSeries:
-    """The analytic slice h + eps*g, coefficientwise, for |eps| <= 1."""
-    eps = complex(eps)
-    if abs(eps) > 1.0 + SLICE_MODULUS_TOL:
-        raise ValueError(f"slice parameter must satisfy |eps| <= 1, got |{eps}|")
+def slice_map(f: HarmonicMap, eps):
+    """The analytic slice h + eps*g, coefficientwise, for |eps| <= 1.
+
+    ``eps`` may be a 1-d array of S values; the result is then the stack
+    of the S slices, one row each (see :func:`~harmap.series.linear_combine`).
+    """
+    moduli = np.abs(np.asarray(eps, dtype=np.complex128))
+    if np.any(moduli > 1.0 + SLICE_MODULUS_TOL):
+        raise ValueError(f"slice parameter must satisfy |eps| <= 1, got |eps| = {float(np.max(moduli))}")
     return linear_combine([(1.0, f.h), (eps, f.g)])
 
 
@@ -121,4 +125,4 @@ def alexander_plus(f: HarmonicMap) -> HarmonicMap:
 def alexander_minus(f: HarmonicMap) -> HarmonicMap:
     """Like :func:`alexander_plus` but with the g part negated."""
     g = alexander(f.g)
-    return HarmonicMap(h=alexander(f.h), g=AnalyticSeries(-g.coeffs))
+    return HarmonicMap(h=alexander(f.h), g=AnalyticSeries._own(-g.coeffs))

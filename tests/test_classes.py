@@ -467,6 +467,25 @@ class TestSetForms:
                 assert (res.is_member, res.status, res.witness) == (alone.is_member, alone.status, alone.witness)
                 assert res.margin.hex() == alone.margin.hex()
 
+    @pytest.mark.parametrize("name", sorted(classes.GRID_CLASSES))
+    def test_rotations_sharing_h_equal_one_map_calls(self, name, monkeypatch):
+        # the 16 rotations h + conj(lambda g) of a member share h, and with it h'
+        cid = _set_form_class(name)
+        f = sample_member(cid, 5, 64)
+        lam = np.exp(2j * np.pi * np.arange(16) / 16)
+        rotations = [HarmonicMap(f.h, AnalyticSeries(l * f.g.coeffs)) for l in lam]
+        expected = [membership(g, cid) for g in rotations]
+        rows = []
+        evaluate_stack = classes.evaluate_stack
+        monkeypatch.setattr(classes, "evaluate_stack", lambda series, z: rows.append(len(series)) or evaluate_stack(series, z))
+        results = memberships(rotations, cid)
+        for res, alone in zip(results, expected, strict=True):
+            assert (res.is_member, res.status, res.witness) == (alone.is_member, alone.status, alone.witness)
+            assert res.margin.hex() == alone.margin.hex()
+        # one row per distinct series: W_H0 builds a new pair per map
+        shared = 32 if name is ClassName.W_H0 else 17
+        assert rows == [shared + (name in classes.RELATIVE_CLASSES)]
+
     @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0_G, ClassName.U_H0, ClassName.S_R])
     @pytest.mark.parametrize("position", [0, 2, 4])
     def test_unnormalized_map_anywhere_rejects_the_set(self, name, position):

@@ -29,7 +29,7 @@ from harmap.geometry import (
     _circle,
     _crosses,
     _polygon_is_simple,
-    _refine_minimum,
+    _refinement,
     _unit_circle,
     univalent_on_circle,
 )
@@ -101,8 +101,9 @@ def one_circle_minimum(kind, f, r):
     """The margin of one circle as computed before margins took several radii.
 
     The series are evaluated on this circle alone; the functionals, the
-    sampled argmin and ``_refine_minimum`` are the one-radius code the
-    library used, so the several-radii margins must match it bit for bit.
+    sampled argmin and the refinement, driven point by point by its own
+    loop, are the one-radius code the library used, so the several-radii
+    margins must match it bit for bit.
     """
     if kind == "starlike":
         series = (f.h, f.h.derivative(), f.g, f.g.derivative())
@@ -134,14 +135,19 @@ def one_circle_minimum(kind, f, r):
         zt = r * cmath.exp(1j * t)
         return float(functional(zt, *(s.evaluate(zt) for s in series)))
 
-    angle, value = _refine_minimum(
-        margin_at,
+    steps = _refinement(
         float(theta[k]),
         2.0 * np.pi / angles,
         float(margin[k - 1]),
         float(margin[k]),
         float(margin[(k + 1) % angles]),
     )
+    try:
+        t = next(steps)
+        while True:
+            t = steps.send(margin_at(t))
+    except StopIteration as done:
+        angle, value = done.value
     return value, angle % (2.0 * np.pi)
 
 

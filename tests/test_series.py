@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from harmap.harmonic import HarmonicMap, slice_map
 from harmap.series import (
     AnalyticSeries,
     DomainError,
@@ -516,6 +517,91 @@ class TestLinearCombine:
         for z in (0.0, 0.5, -0.4 + 0.3j, 0.9):
             direct = w1 * s.evaluate(z) + w2 * t.evaluate(z)
             assert abs(combo.evaluate(z) - direct) <= 1e-12
+
+
+@st.composite
+def stacked_rows(draw):
+    """A read-only stack of coefficient rows of one order, one weight per row,
+    and a series and a map of another order."""
+    size = draw(st.integers(min_value=1, max_value=5))
+    order = draw(st.integers(min_value=1, max_value=12))
+    entries = st.lists(finite_complex, min_size=size * order, max_size=size * order)
+    rows = np.array(draw(entries), dtype=np.complex128).reshape(size, order)
+    rows.setflags(write=False)
+    weights = np.array(draw(st.lists(finite_complex, min_size=size, max_size=size)), dtype=np.complex128)
+    other = draw(st.integers(min_value=1, max_value=12))
+    t, g = (AnalyticSeries(draw(st.lists(finite_complex, min_size=other, max_size=other))) for _ in range(2))
+    return rows, weights, t, HarmonicMap(t, g)
+
+
+class TestStacks:
+    """A stack of coefficient rows is a set of series, one per row: each row
+    of a stacked call has the bits of the one-series call, made row by row."""
+
+    @given(stacked_rows(), finite_complex, st.lists(st.complex_numbers(max_magnitude=1.0), min_size=1, max_size=5))
+    @settings(max_examples=80)
+    def test_rows_equal_one_series_calls(self, drawn, w, eps):
+        rows, weights, t, f = drawn
+        eps = np.array(eps, dtype=np.complex128)
+        series = [AnalyticSeries(r) for r in rows]
+        cases = [
+            (convolve(rows, t), [convolve(s, t) for s in series]),
+            (convolve(t, rows), [convolve(t, s) for s in series]),
+            (convolve(rows, rows[::-1]), [convolve(s, r) for s, r in zip(series, series[::-1])]),
+            (alexander(rows), [alexander(s) for s in series]),
+            (
+                linear_combine([(weights, rows), (w, t)]),
+                [linear_combine([(complex(v), s), (w, t)]) for v, s in zip(weights, series)],
+            ),
+            (linear_combine([(1.0, t), (weights, t)]), [linear_combine([(1.0, t), (complex(v), t)]) for v in weights]),
+            (slice_map(f, eps), [slice_map(f, e) for e in eps]),
+        ]
+        for stack, alone in cases:
+            assert stack.shape == (len(alone), alone[0].order)
+            assert not stack.flags.writeable
+            for row, s in zip(stack, alone):
+                assert row.tobytes() == s.coeffs.tobytes()
+
+    def test_overflowing_product_raises(self):
+        big = AnalyticSeries([1e200, 1e200])
+        stack = np.full((3, 2), 1e200, dtype=np.complex128)
+        for product in (
+            lambda: convolve(big, big),
+            lambda: convolve(stack, big),
+            lambda: linear_combine([(1e200, big)]),
+            lambda: linear_combine([(np.full(3, 1e200), stack)]),
+        ):
+            with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ValueError, match="finite"):
+                product()
+
+    def test_eps_outside_the_disk_rejected(self):
+        f = HarmonicMap(AnalyticSeries([1.0, 0.5]), AnalyticSeries([0.0, 0.25]))
+        for eps in (np.array([0.5, 1.0 + 1e-9, 1j]), np.array([2j]), 1.5):
+            with pytest.raises(ValueError, match="eps"):
+                slice_map(f, eps)
+
+    def test_constant_term_in_a_stack_rejected(self):
+        d = AnalyticSeries([1.0, 2.0, 3.0]).derivative()  # const 1
+        stack = np.ones((2, 2), dtype=np.complex128)
+        for terms in ([(np.ones(2), d)], [(1.0, stack), (1.0, d)]):
+            with pytest.raises(ValueError, match="constant"):
+                linear_combine(terms)
+        # a zero constant under an array weight is a stack like any other
+        assert linear_combine([(np.ones(2), koebe_series(3))]).shape == (2, 3)
+
+    def test_weight_of_two_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="weight"):
+            linear_combine([(np.ones((2, 2)), koebe_series(3))])
+
+    def test_owned_series_is_read_only(self):
+        coeffs = np.arange(1, 5, dtype=np.complex128)
+        s = AnalyticSeries._own(coeffs)
+        assert s.coeffs is coeffs
+        for out in (s, convolve(s, s), alexander(s), linear_combine([(2.0, s)]), s.derivative()):
+            with pytest.raises(ValueError, match="read-only"):
+                out.coeffs[0] = 5.0
+        with pytest.raises(ValueError, match="finite"):
+            AnalyticSeries._own(np.array([1.0, np.nan], dtype=np.complex128))
 
 
 class TestInvariants:
