@@ -13,7 +13,8 @@ their one-map case.  The circle scan of
 map's circles with one inverse FFT, and Horner reports it: a per-point
 bound on the scan's error selects the grid points that could hold
 Horner's minimum, one stacked Horner call evaluates them and their
-neighbours for the whole set, and every reported value comes from those
+neighbours for the whole set, the brackets are taken on the set's
+arrays, and every reported value comes from those
 Horner values and the refinement, bit for bit as if each whole circle of
 each map had been evaluated by Horner alone.  That costs one FFT per map
 and Horner at a few points per circle instead of Horner at all of them.
@@ -42,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .harmonic import HarmonicMap, eval_map, jacobian
-from .series import EPS, circle_scan, evaluate_stack, point_batches
+from .series import EPS, circle_scan, evaluate_groups, padded_rows, point_batches
 
 DEGENERACY_TOL = 1e-12
 
@@ -197,29 +198,49 @@ class _Functional:
     degenerate: str
 
     def __call__(self, r: float, z, *values):
+        """The margin at one point z, with its series values."""
         num, den = self.quotient(z, *values)
-        # a refinement point comes as one Python complex, which abs tests
-        # for a fraction of what numpy's reduction costs on it
-        if (abs(den) if isinstance(den, complex) else np.min(np.abs(den))) < DEGENERACY_TOL:
-            raise DegenerateCurveError(self.degenerate.format(r=r))
+        if abs(den) < DEGENERACY_TOL:
+            raise self.error(r)
         return getattr(num / den, self.part)
 
-    def scan(self, z: np.ndarray, values: np.ndarray, bound: np.ndarray):
+    def error(self, r: float) -> DegenerateCurveError:
+        return DegenerateCurveError(self.degenerate.format(r=r))
+
+    def scan(self, z: np.ndarray, values: np.ndarray, bound: np.ndarray, orders: np.ndarray):
         """Intervals [low, high] holding the Horner margin at each point of
         scanned circles, and the points where |den| may fall below
         ``DEGENERACY_TOL``.
 
         ``z`` holds the points, one row per circle, shape (radii, angles);
         ``values`` are the scanned series, shape (series, radii, angles),
-        each within ``bound`` (series, radii) of its Horner value, so num and den each move by at most
-        delta = sum(bound + 8 eps |value|), where 8 eps |value| covers the
-        rounding of the sums and products on both sides.  The quotient q then moves by at most
-        delta (1 + |q|) / (|den| - delta), plus 8 eps |q| for the division
-        on both sides.  Where |den| <= delta, or the scanned margin is not
-        a number, the interval is the whole line.
+        each within ``bound`` (series, radii) of its Horner value, and
+        ``orders`` holds the series' orders.  So num and den each move by
+        at most the sum over the series of bound + 8 eps |value|, where
+        8 eps |value| covers the rounding of the sums and products on both
+        sides.  The half-width takes that sum from the bound alone, one
+        number per circle, without a modulus per point: with S the
+        series' coefficient sum at r and N >= 1 its order, the bound of
+        :func:`circle_scan` is at least eps (2 N + 4 log2(angles)) S, and
+        |value| <= S + 2 bound (the Horner value is within its own
+        rounding, below the bound, of a number of modulus at most S), so
+
+            bound + 8 eps |value| <= bound (1 + 16 eps + 8 / (2 N + 4 log2(angles))),
+
+        and delta is the sum of the right side over the series.  At order
+        64 on 1024 angles the factor is 1.05, and on the maps measured the
+        points kept are those of the per-point sum.  The factor of N = 1,
+        delta = 2 sum(bound), would widen the intervals of high orders for
+        nothing: on the convex margin of the order-4096 Koebe map at
+        r = 0.988 it keeps 639 points where this keeps 15.  The quotient q
+        then moves by at most delta (1 + |q|) / (|den| - delta), plus
+        8 eps |q| for the division on both sides.  Where |den| <= delta,
+        or the scanned margin is not a number, the interval is the whole
+        line.
         """
         num, den = self.quotient(z, *values)
-        delta = (bound[..., None] + 8.0 * EPS * np.abs(values)).sum(axis=0)
+        factor = 1.0 + 16.0 * EPS + 8.0 / (2.0 * orders + 4.0 * math.log2(z.shape[-1]))
+        delta = (factor[:, None] * bound).sum(axis=0)[:, None]
         gap = np.abs(den) - delta
         with np.errstate(divide="ignore", invalid="ignore"):
             q = num / den
@@ -248,24 +269,32 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
     circle, and one :meth:`_Functional.scan` gives, per point, an
     interval [low, high] that holds the margin of Horner's values.  A
     point whose low exceeds the least high on its circle cannot hold the
-    Horner minimum, nor tie with it.  The other points, their neighbours
-    and every point whose |den| may fall below ``DEGENERACY_TOL`` are
-    evaluated by one :func:`evaluate_stack` call for the whole set, each
-    tuple on its own row of points, and the argmin (the first of tied
-    points), the bracket, the degeneracy test and the refinement run on
-    those Horner values.  So every result is bit for bit the one of
+    Horner minimum, nor tie with it.  The rest runs on the set's arrays,
+    without a loop over tuples: the candidate and near-zero masks of all
+    circles, their neighbours, one row of picked points per tuple
+    (:func:`padded_rows`), one :func:`evaluate_groups` call, one quotient
+    and division over all rows, and the degeneracy test of every circle
+    as one ``reduceat`` over the circles' segments of the picked points.
+    Only the argmin among a circle's candidates (the first of tied
+    points), its neighbours and the bracket are taken per circle, on
+    slices of those arrays.  So every result is bit for bit the one of
     evaluating each whole circle by Horner: numpy computes each element
     of an array of two or more points the same way at any length and
-    position.  Cost: one FFT per tuple over its series and radii, which
-    keeps memory at one tuple's scan, plus Horner at the kept points,
-    which are 3 per circle in the median and up to about a thousand where
-    the interval is wide (orders in the thousands at r near 1, measured
-    on catalog maps).  Every row is padded to the widest, so Horner runs
-    at (tuples x series) times that width: one wide map in a set makes
-    every map of the set pay its width.  The member chunks of ``verify``
-    (orders 64 and 200, radii up to 0.95) pad to 12 points in
-    ``run_all(42)``; a set mixing high-order maps near r = 1 with many
-    others is cheaper split by width.
+    position.  Every array over the whole set holds the picked points
+    or is boolean.  Cost: one FFT per tuple over its series and radii,
+    which keeps memory at one tuple's scan, plus Horner at the kept
+    points, which are 3 per circle in the median and up to about a
+    thousand where the interval is wide (orders in the thousands at r
+    near 1, measured on catalog maps).  Every row is padded to the
+    widest, so Horner runs at (tuples x series) times that width: one
+    wide map in a set makes every map of the set pay its width.  The
+    member chunks of ``verify`` (orders 64 and 200, radii up to 0.95)
+    pad to 12 points in ``run_all(42)``; a set mixing high-order maps
+    near r = 1 with many others is cheaper split by width.  For 32 U_H0
+    members of order 64 at 4 radii (cProfile, 30 ms a set) the scans
+    take 12 ms, their intervals 6.5 ms, the refinement 8 ms, and the
+    picked points, their Horner values and the brackets together about
+    3.5 ms.
 
     The refinement (:func:`_refine_in_lockstep`) evaluates a few points
     per circle, two in the mean and up to ``MAX_REFINEMENTS``, all
@@ -285,41 +314,51 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
         return [[] for _ in stacks]
     theta, unit = _unit_circle(MARGIN_ANGLES)
     grid = np.array(radii)[:, None] * unit
-    # per tuple: its picked points in (radius, angle) order, and per circle
-    # the indices of the picked points and which of them are candidates
-    points, picks = [], []
-    for series in stacks:
+    # (tuple, radius, angle) masks of the candidates and of the near-zero points
+    keep = np.empty((len(stacks), len(radii), MARGIN_ANGLES), dtype=bool)
+    near_zero = np.empty_like(keep)
+    for m, series in enumerate(stacks):
         scan, bound = circle_scan(series, radii, MARGIN_ANGLES)
-        low, high, near_zero = functional.scan(grid, scan, bound)
-        keep = low <= high.min(axis=1, keepdims=True)
-        picked = keep | np.roll(keep, 1, axis=1) | np.roll(keep, -1, axis=1) | near_zero
-        points.append(grid[picked])
-        picks.append([(np.flatnonzero(p), k[p]) for k, p in zip(keep, picked)])
-    z = np.zeros((len(stacks), max(w.size for w in points)), dtype=np.complex128)
-    for m, w in enumerate(points):
-        z[m, : w.size] = w
-    size = len(stacks[0])
-    values = evaluate_stack([s for series in stacks for s in series], np.repeat(z, size, axis=0), per_series=True)
-    values = values.reshape(len(stacks), size, -1)
+        low, high, near_zero[m] = functional.scan(grid, scan, bound, np.array([s.order for s in series]))
+        np.less_equal(low, high.min(axis=1, keepdims=True), out=keep[m])
+    # the candidates, their neighbours i -+ 1 (mod MARGIN_ANGLES) and the near-zero points
+    picked = keep | near_zero
+    picked[..., 1:] |= keep[..., :-1]
+    picked[..., :-1] |= keep[..., 1:]
+    picked[..., 0] |= keep[..., -1]
+    picked[..., -1] |= keep[..., 0]
+    # each tuple's picked points in (radius, angle) order, on its own row of
+    # indices radius * MARGIN_ANGLES + angle into the flat grid
+    rows = padded_rows(picked.reshape(len(stacks), -1))
+    z = grid.ravel()[rows]
+    values = evaluate_groups(stacks, z)
+    num, den = functional.quotient(z, *values.transpose(1, 0, 2))
+    # a degenerate circle raises below, before any of its values is used
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = getattr(num / den, functional.part)
+    # the same points without the padding, and the circles' segments of them
+    per_circle = picked.sum(axis=2)
+    filled = np.arange(rows.shape[1]) < per_circle.sum(axis=1)[:, None]
+    ends = per_circle.cumsum()
+    starts = ends - per_circle.ravel()
+    degenerate = np.logical_or.reduceat(np.abs(den[filled]) < DEGENERACY_TOL, starts).tolist()
+    margin, flat = margin[filled], rows[filled]
+    at, candidate = margin.tolist(), keep.reshape(len(stacks), -1)[filled.nonzero()[0], flat]
 
     # per circle: (tuple, r, bracket), or the error its sampled points raise
     circles = []
-    for m, circle_picks in enumerate(picks):
-        start = 0
-        for r, (p, candidate) in zip(radii, circle_picks):
-            part = slice(start, start + p.size)
-            start += p.size
-            try:
-                margin = functional(r, z[m, part], *values[m, :, part])
-            except DegenerateCurveError as exc:
-                circles.append(exc)
-                continue
-            c = np.flatnonzero(candidate)
-            k = c[int(np.argmin(margin[c]))]
-            i = int(p[k])
-            left, right = np.searchsorted(p, ((i - 1) % MARGIN_ANGLES, (i + 1) % MARGIN_ANGLES))
-            bracket = (float(theta[i]), 2.0 * np.pi / MARGIN_ANGLES, float(margin[left]), float(margin[k]), float(margin[right]))
-            circles.append((m, r, bracket))
+    for c, (start, stop) in enumerate(zip(starts.tolist(), ends.tolist())):
+        m, r = divmod(c, len(radii))
+        if degenerate[c]:
+            circles.append(functional.error(radii[r]))
+            continue
+        kept = start + candidate[start:stop].nonzero()[0]
+        k = int(kept[margin[kept].argmin()])
+        i = int(flat[k]) % MARGIN_ANGLES
+        # the neighbours of i are picked and lie next to it in angle order
+        left = k - 1 if i > 0 else stop - 1
+        right = k + 1 if i < MARGIN_ANGLES - 1 else start
+        circles.append((m, radii[r], (float(theta[i]), 2.0 * np.pi / MARGIN_ANGLES, at[left], at[k], at[right])))
 
     minima = [(value, angle % (2.0 * np.pi)) for angle, value in _refine_in_lockstep(functional, stacks, circles)]
     return [minima[m * len(radii) : (m + 1) * len(radii)] for m in range(len(stacks))]

@@ -55,17 +55,23 @@ class AnalyticSeries:
         object.__setattr__(self, "const", const)
 
     @classmethod
-    def _own(cls, coeffs: np.ndarray, const: complex = 0j) -> "AnalyticSeries":
+    def _own(cls, coeffs: np.ndarray, const: complex = 0j):
         """The series on ``coeffs``, a nonempty 1-d complex128 array that the
         library has just computed and hands over: no conversion and no
-        copy, one finiteness check, and the array is made read-only."""
+        copy, one finiteness check, and the array is made read-only.  A
+        2-d ``coeffs``, a stack of rows, gives the list of the series on
+        its rows, each with ``const``: the stack is checked and made
+        read-only once, and each series holds a view of its row."""
         const = complex(const)
         _check_finite(coeffs, const)
         coeffs.setflags(write=False)
-        series = object.__new__(cls)
-        object.__setattr__(series, "coeffs", coeffs)
-        object.__setattr__(series, "const", const)
-        return series
+        series = []
+        for row in coeffs if coeffs.ndim == 2 else (coeffs,):
+            s = object.__new__(cls)
+            object.__setattr__(s, "coeffs", row)
+            object.__setattr__(s, "const", const)
+            series.append(s)
+        return series if coeffs.ndim == 2 else series[0]
 
     @property
     def order(self) -> int:
@@ -208,6 +214,33 @@ def evaluate_stack(series, z: np.ndarray, *, per_series: bool = False) -> np.nda
         acc = _horner(rows, w, np.zeros(w.shape, dtype=np.complex128))
         out[live] = const.reshape(column) + acc * w
     return out
+
+
+def padded_rows(mask: np.ndarray) -> np.ndarray:
+    """The column indices of the true entries of each row of the boolean
+    (G, P) ``mask``, in order, as one (G, W) array with W = max(2, the most
+    in a row); a row with fewer is padded by repeating its first index, and
+    every row must have one.  Points laid out on these rows for
+    :func:`evaluate_groups` are at least two per row, because numpy rounds
+    a lone element differently, and every value computed from a row is a
+    value at one of the row's own points."""
+    counts = mask.sum(axis=1)
+    column = np.arange(max(2, counts.max()))
+    return mask.nonzero()[1][(counts.cumsum() - counts)[:, None] + column * (column < counts[:, None])]
+
+
+def evaluate_groups(groups, z: np.ndarray) -> np.ndarray:
+    """Each group of series at the group's own row of points, by one
+    :func:`evaluate_stack` call with one row of points per series.
+
+    ``groups`` holds G tuples of S series each and ``z`` one row of points
+    per group, shape (G, W) with W >= 2 (see :func:`padded_rows`).  Returns
+    the values, shape (G, S, W): series k of group j at ``z[j]``, bit for
+    bit its ``evaluate`` there.
+    """
+    size = len(groups[0])
+    values = evaluate_stack([s for group in groups for s in group], np.repeat(z, size, axis=0), per_series=True)
+    return values.reshape(len(groups), size, -1)
 
 
 def point_batches(series):

@@ -23,12 +23,21 @@ from harmap.harmonic import HarmonicMap, analytic_map, harmonic_convolve, slice_
 from harmap.series import AnalyticSeries
 
 
-def quad_conj_map(order=8):
-    """z + conj(z^2)/2."""
+def quad_conj_map(order=8, c=0.5):
+    """z + conj(c z^2), by default z + conj(z^2)/2."""
     h = np.zeros(order, dtype=np.complex128)
     g = np.zeros(order, dtype=np.complex128)
-    h[0], g[1] = 1.0, 0.5
+    h[0], g[1] = 1.0, c
     return HarmonicMap(AnalyticSeries(h), AnalyticSeries(g))
+
+
+def grid_slack(f, cid, z):
+    """The slack of f's defining pair at the points z, evaluated by Horner at all of them."""
+    u, v = (s.evaluate(z) for s in classes._defining_pair(f, cid))
+    if cid.reference_map is not None:
+        gref = cid.reference_map.derivative().evaluate(z)
+        u, v = u / gref, v / gref
+    return classes._slack(cid, u, v)
 
 
 class TestMembership:
@@ -129,7 +138,7 @@ class TestMembership:
         ref = AnalyticSeries(np.eye(1, 8, 0).ravel())  # G(z) = z
         cid = ClassId(ClassName.R_H0_G, reference_map=ref)
         z = classes.G_VARIANT_GRID.points()
-        (plain,) = classes._grid_slack([quad_conj_map()], ClassId(ClassName.R_H0), z)
+        plain = grid_slack(quad_conj_map(), ClassId(ClassName.R_H0), z)
         relative = membership(quad_conj_map(8), cid)
         assert relative.is_member
         assert relative.margin == pytest.approx(plain.min(), abs=1e-12)
@@ -148,7 +157,7 @@ class TestMinimumPrinciple:
     def polar_minimum(f, cid, radii):
         grid = classes._certifying_grid(cid)
         z = np.concatenate([grid.circle(r) for r in radii])
-        return float(np.min(classes._grid_slack([f], cid, z)))
+        return float(np.min(grid_slack(f, cid, z)))
 
     @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0])
     def test_sampled_members(self, name):
@@ -186,7 +195,7 @@ class TestDefiningPair:
         maps = [sample_member(cid, seed) for seed in range(40)] + [make(CatalogTag.CHICHRA_W, 2048)]
         for f in maps:
             reference = self.four_series_slack(f, z)
-            gap = np.max(np.abs(classes._grid_slack([f], cid, z)[0] - reference))
+            gap = np.max(np.abs(grid_slack(f, cid, z) - reference))
             assert gap <= 1e-13 * np.max(np.abs(reference))
 
 
@@ -439,10 +448,22 @@ def _set_form_class(name):
     return ClassId(name, reference_map=ref)
 
 
+def assert_set_matches_one_map_calls(maps, cid):
+    """``memberships`` of the set equals ``membership`` of each map, bit for bit."""
+    results = memberships(maps, cid)
+    assert len(results) == len(maps)
+    for f, res in zip(maps, results):
+        alone = membership(f, cid)
+        assert (res.is_member, res.status, res.witness) == (alone.is_member, alone.status, alone.witness)
+        assert res.margin.hex() == alone.margin.hex()
+    return results
+
+
 class TestSetForms:
     """``sample_members`` and ``memberships`` are the one-map calls, applied to a set."""
 
-    SIZES = (0, 1, 31, 32, 33)
+    # 2 and 3 are the smallest sets that take their points from the circle scan
+    SIZES = (0, 1, 2, 3, 31, 32, 33)
 
     @pytest.mark.parametrize("order", [1, 2, 5, 64, 200])
     @pytest.mark.parametrize("name", list(ClassName))
@@ -460,12 +481,51 @@ class TestSetForms:
                 assert f.g.coeffs.tobytes() == alone.g.coeffs.tobytes()
             # perturbed maps too, so that some of the set fall outside the class
             maps = drawn + [HarmonicMap(f.h, AnalyticSeries(3.0 * f.g.coeffs)) for f in drawn[::3]]
-            results = memberships(maps, cid)
-            assert len(results) == len(maps)
-            for f, res in zip(maps, results):
-                alone = membership(f, cid)
-                assert (res.is_member, res.status, res.witness) == (alone.is_member, alone.status, alone.witness)
-                assert res.margin.hex() == alone.margin.hex()
+            assert_set_matches_one_map_calls(maps, cid)
+
+    @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0])
+    def test_boundary_band_in_a_set(self, name):
+        # z + conj(c z^2) has slack 1 - 1.98 c (R_H0, F_H0) or 1 - 3.96 c (W_H0) at
+        # every point of |z| = 0.99, so its minimum is a tie of all 256 points
+        cs = [1 / 1.98 - 2e-10, 1 / 1.98 - 4e-10, 1 / 3.96 - 1e-10, 1 / 3.96 - 2e-10, 1 / 1.98 - 1e-9, 0.25, 0.6]
+        cid = ClassId(name)
+        maps = [quad_conj_map(64, c) for c in cs] + sample_members(cid, range(3), 64)
+        results = assert_set_matches_one_map_calls(maps, cid)
+        band = (0, 1) if name is not ClassName.W_H0 else (2, 3)
+        assert [results[k].status for k in band] == ["boundary", "boundary"]
+
+    @pytest.mark.parametrize("name", sorted(classes.GRID_CLASSES))
+    def test_identity_ties_in_a_set(self, name):
+        # the order-1 identity's slack is 1 at all 256 points, so the witness is z[0];
+        # with G' it is 1/G', which varies
+        cid = _set_form_class(name)
+        identity = HarmonicMap(AnalyticSeries([1.0]), AnalyticSeries([0.0]))
+        maps = [identity, sample_member(cid, 7, 64), identity]
+        results = assert_set_matches_one_map_calls(maps, cid)
+        assert results[0] == results[2]
+        if name not in classes.RELATIVE_CLASSES:
+            assert results[0].witness == complex(classes._certifying_grid(cid).points()[0])
+
+    @pytest.mark.parametrize("name", sorted(classes.GRID_CLASSES))
+    def test_high_order_map_in_a_set(self, name):
+        # order-2048 catalog maps among order-64 members: the scan keeps one point
+        # of MacGregor's map, and all 256 tied points of u_sharp_conj's constant
+        # slack (grid classes without G'), whose row pads every other row to 256
+        cid = _set_form_class(name)
+        maps = sample_members(cid, range(4), 64)
+        maps[2:2] = [make(CatalogTag.MACGREGOR_R, 2048), make(CatalogTag.U_SHARP_CONJ, 2048)]
+        assert_set_matches_one_map_calls(maps, cid)
+
+    @pytest.mark.parametrize("name", sorted(classes.GRID_CLASSES))
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_sets_of_two_or_more_scan_once(self, name, size, monkeypatch):
+        cid = _set_form_class(name)
+        maps = sample_members(cid, range(size), 64)
+        calls = []
+        circle_scan = classes.circle_scan
+        monkeypatch.setattr(classes, "circle_scan", lambda *args: calls.append(args) or circle_scan(*args))
+        memberships(maps, cid)
+        assert len(calls) == (size >= 2)
 
     @pytest.mark.parametrize("name", sorted(classes.GRID_CLASSES))
     def test_rotations_sharing_h_equal_one_map_calls(self, name, monkeypatch):
@@ -476,15 +536,14 @@ class TestSetForms:
         rotations = [HarmonicMap(f.h, AnalyticSeries(l * f.g.coeffs)) for l in lam]
         expected = [membership(g, cid) for g in rotations]
         rows = []
-        evaluate_stack = classes.evaluate_stack
-        monkeypatch.setattr(classes, "evaluate_stack", lambda series, z: rows.append(len(series)) or evaluate_stack(series, z))
+        circle_scan = classes.circle_scan
+        monkeypatch.setattr(classes, "circle_scan", lambda series, *args: rows.append(len(series)) or circle_scan(series, *args))
         results = memberships(rotations, cid)
         for res, alone in zip(results, expected, strict=True):
             assert (res.is_member, res.status, res.witness) == (alone.is_member, alone.status, alone.witness)
             assert res.margin.hex() == alone.margin.hex()
-        # one row per distinct series: W_H0 builds a new pair per map
-        shared = 32 if name is ClassName.W_H0 else 17
-        assert rows == [shared + (name in classes.RELATIVE_CLASSES)]
+        # one scanned row per distinct series: W_H0 builds a new pair per map
+        assert rows == [32 if name is ClassName.W_H0 else 17]
 
     @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0_G, ClassName.U_H0, ClassName.S_R])
     @pytest.mark.parametrize("position", [0, 2, 4])

@@ -286,10 +286,11 @@ MARGIN_CLASSES = [ClassName.R_H0, ClassName.W_H0, ClassName.F_H0, ClassName.U_H0
 
 
 @st.composite
-def map_sets(draw):
-    """1 to 24 maps: sampled members, catalog maps and members with g = 0, of orders 2 to 300."""
+def map_sets(draw, min_size=1, max_size=24):
+    """``min_size`` to ``max_size`` maps (1 to 24 by default): sampled members, catalog maps and
+    members with g = 0, of orders 2 to 300."""
     maps = []
-    for _ in range(draw(st.integers(min_value=1, max_value=24))):
+    for _ in range(draw(st.integers(min_value=min_size, max_value=max_size))):
         kind = draw(st.sampled_from(["member", "catalog", "analytic"]))
         order = draw(st.integers(min_value=2, max_value=300))
         if kind == "catalog":
@@ -306,6 +307,12 @@ class TestMarginSets:
     @given(maps=map_sets(), radii=radius_lists)
     @settings(max_examples=25, deadline=None)
     def test_random_sets_match_one_circle(self, maps, radii):
+        assert_set_matches_one_by_one(maps, radii)
+
+    @given(maps=map_sets(min_size=2, max_size=3), radii=radius_lists)
+    @settings(max_examples=25, deadline=None)
+    def test_small_random_sets_match_one_circle(self, maps, radii):
+        # the smallest sets: a row of each map, padding at its end
         assert_set_matches_one_by_one(maps, radii)
 
     def test_verify_sets_match_one_circle(self):
