@@ -26,11 +26,9 @@ from .geometry import (
     RadiusEstimate,
     SamplingGrid,
     convex_margin,
-    convex_margins,
     convex_margins_of,
     radius_estimate,
     starlike_margin,
-    starlike_margins,
     starlike_margins_of,
     univalent_on_circle,
 )

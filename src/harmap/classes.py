@@ -30,7 +30,7 @@ from scipy.special import spence
 
 from .geometry import DEFAULT_GRID, GRID_ANGLES, SamplingGrid, _winding_number
 from .harmonic import HarmonicMap
-from .series import EPS, AnalyticSeries, circle_scan, evaluate_groups, padded_rows
+from .series import EPS, AnalyticSeries, _candidates, circle_scan, evaluate_groups, padded_rows
 
 #: positive-margin tolerance certifying a strict inequality on a closed grid
 STRICTNESS_TOL = 1e-9
@@ -161,12 +161,8 @@ def _scan_candidates(groups, c: ClassId, gref) -> np.ndarray:
     if gref is not None:
         values, bound = values / gref, bound / np.abs(gref)
     u, v = values[0::2], values[1::2]
-    slack = _slack(c, u, v)
     err = bound[0::2] + bound[1::2] + 8.0 * EPS * (2.0 + np.abs(u) + np.abs(v))
-    low, high = slack - err, slack + err
-    unknown = np.isnan(low) | np.isnan(high)
-    low[unknown], high[unknown] = -np.inf, np.inf
-    return low <= high.min(axis=1, keepdims=True)
+    return _candidates(_slack(c, u, v), err)
 
 
 def _result(margin: float, witness: complex | int, floor: float) -> MembershipResult:

@@ -7,8 +7,8 @@ grid of ``MARGIN_ANGLES`` points brackets the minimum, and successive
 parabolic interpolation refines it to a value attained at the reported
 witness angle, so a margin does not depend on where the grid falls on
 the circle.  ``starlike_margins_of`` and ``convex_margins_of`` take a set
-of maps and several radii; ``starlike_margins``/``convex_margins`` are
-their one-map case.  The circle scan of
+of maps and several radii; ``starlike_margin``/``convex_margin`` are
+their case of one map on one circle.  The circle scan of
 :func:`~harmap.series.circle_scan` finds the grid minimum of all of a
 map's circles with one inverse FFT, and Horner reports it: a per-point
 bound on the scan's error selects the grid points that could hold
@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .harmonic import HarmonicMap, eval_map, jacobian
-from .series import EPS, circle_scan, evaluate_groups, padded_rows, point_batches
+from .series import EPS, _candidates, circle_scan, evaluate_groups, padded_rows, point_batches
 
 DEGENERACY_TOL = 1e-12
 
@@ -208,9 +208,10 @@ class _Functional:
         return DegenerateCurveError(self.degenerate.format(r=r))
 
     def scan(self, z: np.ndarray, values: np.ndarray, bound: np.ndarray, orders: np.ndarray):
-        """Intervals [low, high] holding the Horner margin at each point of
-        scanned circles, and the points where |den| may fall below
-        ``DEGENERACY_TOL``.
+        """The points of scanned circles that may hold a circle's least
+        Horner margin (:func:`~harmap.series._candidates` of intervals
+        [low, high] holding the Horner margin at each point), and the
+        points where |den| may fall below ``DEGENERACY_TOL``.
 
         ``z`` holds the points, one row per circle, shape (radii, angles);
         ``values`` are the scanned series, shape (series, radii, angles),
@@ -246,11 +247,7 @@ class _Functional:
             q = num / den
             size = np.abs(q)
             err = np.where(gap > 0.0, delta * (1.0 + size) / gap + 8.0 * EPS * size, np.inf)
-            margin = getattr(q, self.part)
-            low, high = margin - err, margin + err
-        unknown = np.isnan(low) | np.isnan(high)
-        low[unknown], high[unknown] = -np.inf, np.inf
-        return low, high, gap < DEGENERACY_TOL
+        return _candidates(getattr(q, self.part), err), gap < DEGENERACY_TOL
 
 
 def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
@@ -319,8 +316,7 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
     near_zero = np.empty_like(keep)
     for m, series in enumerate(stacks):
         scan, bound = circle_scan(series, radii, MARGIN_ANGLES)
-        low, high, near_zero[m] = functional.scan(grid, scan, bound, np.array([s.order for s in series]))
-        np.less_equal(low, high.min(axis=1, keepdims=True), out=keep[m])
+        keep[m], near_zero[m] = functional.scan(grid, scan, bound, np.array([s.order for s in series]))
     # the candidates, their neighbours i -+ 1 (mod MARGIN_ANGLES) and the near-zero points
     picked = keep | near_zero
     picked[..., 1:] |= keep[..., :-1]
@@ -446,14 +442,9 @@ def starlike_margins_of(maps, radii) -> list[list[GeometryReport]]:
     return [[GeometryReport("starlike", r, v, t) for r, (v, t) in zip(radii, m)] for m in minima]
 
 
-def starlike_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
-    """:func:`starlike_margins_of` on the one map f."""
-    return starlike_margins_of([f], radii)[0]
-
-
 def starlike_margin(f: HarmonicMap, r: float) -> GeometryReport:
-    """:func:`starlike_margins` on the one circle |z| = r."""
-    return starlike_margins(f, (r,))[0]
+    """:func:`starlike_margins_of` on the one map f and the one circle |z| = r."""
+    return starlike_margins_of([f], (r,))[0][0]
 
 
 def convex_margins_of(maps, radii) -> list[list[GeometryReport]]:
@@ -474,14 +465,9 @@ def convex_margins_of(maps, radii) -> list[list[GeometryReport]]:
     return [[GeometryReport("convex", r, v, t) for r, (v, t) in zip(radii, m)] for m in minima]
 
 
-def convex_margins(f: HarmonicMap, radii) -> list[GeometryReport]:
-    """:func:`convex_margins_of` on the one map f."""
-    return convex_margins_of([f], radii)[0]
-
-
 def convex_margin(f: HarmonicMap, r: float) -> GeometryReport:
-    """:func:`convex_margins` on the one circle |z| = r."""
-    return convex_margins(f, (r,))[0]
+    """:func:`convex_margins_of` on the one map f and the one circle |z| = r."""
+    return convex_margins_of([f], (r,))[0][0]
 
 
 def _cross(ax, ay, bx, by):

@@ -86,7 +86,8 @@ class AnalyticSeries:
         """Value at ``z`` (scalar or ndarray), |z| < 1.
 
         Nested multiplication from the highest degree down.  An ndarray
-        ``z`` gives the series' row of :func:`evaluate_stack`.  A Python
+        ``z`` is :func:`evaluate_groups` on one group of this one series,
+        its points in one row, and the values take ``z``'s shape.  A Python
         or numpy number (or a 0-d array) runs the same recurrence on
         Python ``complex`` numbers, with the disk checked in Python too,
         since array overhead would dominate a single point, and returns a
@@ -96,7 +97,7 @@ class AnalyticSeries:
         if not isinstance(z, (complex, float, int, np.number)):
             z = np.asarray(z, dtype=np.complex128)
             if z.ndim:
-                return evaluate_stack((self,), z)[0]
+                return evaluate_groups([(self,)], z.reshape(1, -1))[0, 0].reshape(z.shape)
         z = complex(z)
         if not abs(z) < 1.0:
             raise DomainError(_DISK_MESSAGE)
@@ -111,13 +112,11 @@ class AnalyticSeries:
     @functools.cached_property
     def _descending(self) -> list[complex]:
         """The coefficients from the highest degree down, as Python complex
-        numbers: Horner's rows at a scalar, built on the first scalar
-        evaluation and cached like :meth:`derivative`, so a point costs
-        the loop alone.  The list holds about 40 bytes per coefficient for
-        the series' lifetime, so the array rows of :func:`evaluate_stack`,
-        whose loop costs far more than building it, build their own per
-        call: cached there too, it added 2 MB to the peak memory of the
-        high-order catalog maps' univalence tests."""
+        numbers: Horner's rows at a scalar, cached on the first scalar
+        evaluation, so a point costs the loop alone.  The array rows of
+        :func:`evaluate_groups` build their own per call: cached there
+        too, the list (about 40 bytes per coefficient) added 2 MB to the
+        peak memory of the high-order catalog maps' univalence tests."""
         return self.coeffs[::-1].tolist()
 
     def derivative(self) -> "AnalyticSeries":
@@ -170,77 +169,57 @@ def _coefficient_matrix(series, live: list[int]) -> tuple[np.ndarray, np.ndarray
     return matrix, np.array([series[k].const for k in live])
 
 
-def evaluate_stack(series, z: np.ndarray, *, per_series: bool = False) -> np.ndarray:
-    """Values of several series at the same points, one row per series.
-
-    ``z`` is an ndarray of points with |z| < 1; row k, of ``z``'s shape,
-    is ``series[k].evaluate(z)``, which is this function on one series.
-    With ``per_series``, ``z`` holds one row of points per series, shape
-    (len(series), P), and row k is ``series[k].evaluate(z[k])``: a set of
-    maps evaluates each map's own points in one call, its shorter rows
-    padded with any points inside the disk.  One Horner loop runs over
-    the nonzero series together, the shorter ones padded with leading
-    zero coefficients, which leave the accumulator at +0, and every row
-    has the bits it would have alone; rows of identically zero series
-    stay zero.  The points are laid out once per call as one contiguous
-    row per series, like the accumulator, so numpy runs each step's
-    product as one flat loop over the whole stack instead of a broadcast
-    of the points over the rows: the same bits, in 1.94 ms instead of
-    2.15 for 64 series on 256 points at order 63, and in 0.20 ms instead
-    of 0.26 for 32 series on 40 points at order 64.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    _check_disk(z)
-    shape = z.shape[1:] if per_series else z.shape
-    out = np.zeros((len(series),) + shape, dtype=np.complex128)
-    live = [k for k, s in enumerate(series) if not s._is_zero]
-    if math.prod(shape) == 1 or len(live) <= 2:
-        # one or two series run row by row on Python complex coefficients:
-        # two rows alone cost about what a stack of them costs on one map's
-        # 256-point circle (0.19 against 0.18 ms at order 64, 0.49 against
-        # 0.55 ms at order 200) and less on more points (0.29 against
-        # 0.38 ms on 1,024), while three are faster stacked (0.66 against
-        # 0.81 ms, order 200); numpy multiplies a lone element without the
-        # fused multiply-add it uses on a stack of them, so one point runs
-        # row by row too
-        for k in live:
-            s, w = series[k], z[k] if per_series else z
-            out[k] = s.const + _horner(s.coeffs[::-1].tolist(), w, np.zeros_like(w)) * w
-    else:
-        matrix, const = _coefficient_matrix(series, live)
-        column = (len(live),) + (1,) * len(shape)
-        rows = matrix.T[::-1].reshape(matrix.shape[::-1] + column[1:])
-        w = z[live] if per_series else np.tile(z, column)
-        acc = _horner(rows, w, np.zeros(w.shape, dtype=np.complex128))
-        out[live] = const.reshape(column) + acc * w
-    return out
-
-
 def padded_rows(mask: np.ndarray) -> np.ndarray:
     """The column indices of the true entries of each row of the boolean
     (G, P) ``mask``, in order, as one (G, W) array with W = max(2, the most
-    in a row); a row with fewer is padded by repeating its first index, and
-    every row must have one.  Points laid out on these rows for
-    :func:`evaluate_groups` are at least two per row, because numpy rounds
-    a lone element differently, and every value computed from a row is a
-    value at one of the row's own points."""
+    in a row), the width :func:`evaluate_groups` asks for; a row with fewer
+    is padded by repeating its first index, so every value computed from a
+    row is a value at one of its own points.  Every row must have one."""
     counts = mask.sum(axis=1)
     column = np.arange(max(2, counts.max()))
     return mask.nonzero()[1][(counts.cumsum() - counts)[:, None] + column * (column < counts[:, None])]
 
 
-def evaluate_groups(groups, z: np.ndarray) -> np.ndarray:
-    """Each group of series at the group's own row of points, by one
-    :func:`evaluate_stack` call with one row of points per series.
+#: the row width from which two live series run row by row; time of the rows
+#: one by one over the stacked loop, 2 live series at orders 64 and 200 (best
+#: of 7, 2-core host), where 3 or more live series run faster stacked up to 512:
+#:     points per row | 12        | 64   | 128       | 256  | 512       | 1024
+#:     ratio          | 1.40-1.46 | 1.30 | 1.10-1.23 | 0.99 | 0.94-0.99 | 0.78
+ROW_BY_ROW_POINTS = 256
 
-    ``groups`` holds G tuples of S series each and ``z`` one row of points
-    per group, shape (G, W) with W >= 2 (see :func:`padded_rows`).  Returns
-    the values, shape (G, S, W): series k of group j at ``z[j]``, bit for
-    bit its ``evaluate`` there.
+
+def evaluate_groups(groups, z: np.ndarray) -> np.ndarray:
+    """Each of G groups of S series at the group's own row of points, the
+    one array Horner of the package.
+
+    ``z`` has shape (G, W), |z| < 1.  Returns shape (G, S, W): series k of
+    group j at ``z[j]``, bit for bit its ``evaluate`` there when W >= 2
+    (see :func:`padded_rows`) or one series is live, for numpy multiplies
+    a lone element without the fused multiply-add it uses on a stack.  Each
+    row of points is repeated once per series; rows of identically zero
+    series stay zero.  One live series, or two on rows of
+    ``ROW_BY_ROW_POINTS`` or more, run row by row on Python complex
+    coefficients, and otherwise one loop runs over the live rows, the lower
+    orders padded with leading zero coefficients, which keep the
+    accumulator at +0.
     """
+    z = np.asarray(z, dtype=np.complex128)
+    _check_disk(z)
     size = len(groups[0])
-    values = evaluate_stack([s for group in groups for s in group], np.repeat(z, size, axis=0), per_series=True)
-    return values.reshape(len(groups), size, -1)
+    series = [s for group in groups for s in group]
+    w = np.repeat(z, size, axis=0)
+    out = np.zeros(w.shape, dtype=np.complex128)
+    live = [k for k, s in enumerate(series) if not s._is_zero]
+    if len(live) == 1 or (len(live) == 2 and w.shape[1] >= ROW_BY_ROW_POINTS):
+        for k in live:
+            s = series[k]
+            out[k] = s.const + _horner(s.coeffs[::-1].tolist(), w[k], np.zeros_like(w[k])) * w[k]
+    elif live:
+        matrix, const = _coefficient_matrix(series, live)
+        w = w[live]
+        acc = _horner(matrix.T[::-1, :, None], w, np.zeros(w.shape, dtype=np.complex128))
+        out[live] = const[:, None] + acc * w
+    return out.reshape(len(groups), size, -1)
 
 
 def point_batches(series):
@@ -255,22 +234,15 @@ def point_batches(series):
     with every operation a separate rounding, and without overflow
     warnings, as in Python.  The series are padded to the highest order
     with leading +0 coefficients, which keep the accumulator at +0 + 0j,
-    its start; identically zero series give 0j.  The coefficient matrix
-    is built once, here.  A call costs 9 numpy operations per degree,
-    about 4.5 us per degree on 64 points and 8 to 10 us on 512 (orders 64
-    and 200), so it pays where :meth:`AnalyticSeries.evaluate` would take
-    more than about 70 points one at a time.
+    its start; identically zero series give 0j.  The coefficient matrix,
+    laid out as for :func:`circle_scan` and :func:`evaluate_groups`, is
+    built once, here.  A call costs 9 numpy operations per degree, about
+    4.5 us per degree on 64 points and 8 to 10 us on 512 (orders 64 and
+    200), so it pays where :meth:`AnalyticSeries.evaluate` would take more
+    than about 70 points one at a time.
     """
-    order = max(s.order for s in series)
     zero = [s._is_zero for s in series]
-    descending = np.zeros((order, 2, len(series)))
-    const = np.zeros((2, len(series)))
-    for k, s in enumerate(series):
-        if not zero[k]:
-            reversed_coeffs = s.coeffs[::-1]
-            descending[order - s.order :, 0, k] = reversed_coeffs.real
-            descending[order - s.order :, 1, k] = reversed_coeffs.imag
-            const[:, k] = s.const.real, s.const.imag
+    matrix, const = _coefficient_matrix(series, list(range(len(series))))
 
     def at(rows, points) -> list[complex]:
         index = np.array(rows, dtype=np.intp)
@@ -278,11 +250,11 @@ def point_batches(series):
         zi = np.array([w.imag for w in points])
         ar, ai = np.zeros(zr.size), np.zeros(zr.size)
         with np.errstate(all="ignore"):
-            for degree in descending:
-                cr, ci = degree.take(index, axis=1)
-                ar, ai = ar * zr - ai * zi + cr, ar * zi + ai * zr + ci
-            re = const[0, index] + (ar * zr - ai * zi)
-            im = const[1, index] + (ar * zi + ai * zr)
+            for degree in matrix.T[::-1]:
+                c = degree.take(index)
+                ar, ai = ar * zr - ai * zi + c.real, ar * zi + ai * zr + c.imag
+            re = const.real[index] + (ar * zr - ai * zi)
+            im = const.imag[index] + (ar * zi + ai * zr)
         return [0j if zero[k] else complex(a, b) for k, a, b in zip(rows, re.tolist(), im.tolist())]
 
     return at
@@ -346,6 +318,20 @@ def circle_scan(series, radii, angles: int) -> tuple[np.ndarray, np.ndarray]:
         spectrum = spectrum.reshape(len(live), radii.size, -1, angles).sum(axis=2)
     values[live] = np.fft.ifft(spectrum, norm="forward")
     return values, bound
+
+
+def _candidates(value: np.ndarray, err: np.ndarray) -> np.ndarray:
+    """The points of each row (the last axis) that may hold the row's least
+    Horner value, given scanned values ``value`` each within ``err`` of it,
+    as a mask: those whose low end value - err does not exceed the least
+    high end value + err of the row, for the rest can neither hold the
+    minimum nor tie with it.  An interval that is not a number, such as
+    inf - inf, is the whole line."""
+    with np.errstate(invalid="ignore"):
+        low, high = value - err, value + err
+    unknown = np.isnan(low) | np.isnan(high)
+    low[unknown], high[unknown] = -np.inf, np.inf
+    return low <= high.min(axis=-1, keepdims=True)
 
 
 def _rows(x) -> tuple[np.ndarray, complex]:

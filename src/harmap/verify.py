@@ -345,7 +345,10 @@ def _suite_t2_9(rec: _Recorder, seed: int) -> None:
         conv = harmonic_convolve(f, F)
         direct = linear_combine([(1.0, conv.h), (eps, conv.g)])
         worst_pair = max(worst_pair, _gap(linear_combine([(0.5, f1), (0.5, f2)]), direct))
-        worst_slice = max(worst_slice, _gap(slice_map(conv, eps), direct))
+        # slice_eps(f * F) = slice_eps(f) * H + eps (g * (G - H)), from the unconvolved maps
+        g_part = convolve(f.g, linear_combine([(1.0, F.g), (-1.0, F.h)]))
+        parts = linear_combine([(1.0, convolve(slice_map(f, eps), F.h)), (eps, g_part)])
+        worst_slice = max(worst_slice, _gap(slice_map(conv, eps), parts))
     rec.at_most(
         "self-convolution square-root factorization, 100 maps x 16 eps [exact]",
         worst_self,

@@ -20,11 +20,9 @@ from harmap.geometry import (
     GRID_ANGLES,
     SamplingGrid,
     convex_margin,
-    convex_margins,
     convex_margins_of,
     radius_estimate,
     starlike_margin,
-    starlike_margins,
     starlike_margins_of,
     _circle,
     _crosses,
@@ -152,7 +150,7 @@ def one_circle_minimum(kind, f, r):
 
 
 def assert_margins_match_one_circle(f, radii):
-    for kind, margins in (("starlike", starlike_margins), ("convex", convex_margins)):
+    for kind, margins_of in (("starlike", starlike_margins_of), ("convex", convex_margins_of)):
         expected = []
         try:
             for r in radii:
@@ -160,10 +158,10 @@ def assert_margins_match_one_circle(f, radii):
         except DegenerateCurveError as exc:
             # the first degenerate radius in order raises, with its own message
             with pytest.raises(DegenerateCurveError) as raised:
-                margins(f, radii)
+                margins_of([f], radii)
             assert str(raised.value) == str(exc)
             continue
-        reports = margins(f, radii)
+        reports = margins_of([f], radii)[0]
         assert [rep.r for rep in reports] == list(radii)
         assert all(rep.functional == kind for rep in reports)
         got = [(rep.min_margin.hex(), rep.witness_angle.hex()) for rep in reports]
@@ -240,28 +238,28 @@ class TestSeveralRadii:
             f = analytic_map(AnalyticSeries([1.0, c2]))
             assert_margins_match_one_circle(f, (0.3, 0.5))
         with pytest.raises(DegenerateCurveError, match="r=0.5$"):
-            starlike_margins(analytic_map(AnalyticSeries([1.0, -2.0 * (1.0 + d)])), (0.3, 0.5))
+            starlike_margins_of([analytic_map(AnalyticSeries([1.0, -2.0 * (1.0 + d)]))], (0.3, 0.5))
         with pytest.raises(DegenerateCurveError, match="r=0.5$"):
-            convex_margins(analytic_map(AnalyticSeries([1.0, -(1.0 + d)])), (0.3, 0.5))
+            convex_margins_of([analytic_map(AnalyticSeries([1.0, -(1.0 + d)]))], (0.3, 0.5))
 
     def test_first_degenerate_radius_raises(self):
         # f(z) = z - z^2/r0 vanishes on |z| = r0 at angle 0, for r0 = 0.3 and 0.5
         f = analytic_map(AnalyticSeries([1.0, -1.0 / 0.3]))
         with pytest.raises(DegenerateCurveError, match="r=0.3$"):
-            starlike_margins(f, (0.2, 0.3, 0.4))
+            starlike_margins_of([f], (0.2, 0.3, 0.4))
         g = analytic_map(AnalyticSeries([1.0, -1.0 / 0.5]))
         with pytest.raises(DegenerateCurveError, match="r=0.5$"):
-            starlike_margins(g, (0.5, 0.3))
+            starlike_margins_of([g], (0.5, 0.3))
 
     def test_one_radius_forms(self):
         f = make(CatalogTag.HARMONIC_KOEBE, 128)
-        assert starlike_margin(f, 0.6) == starlike_margins(f, [0.6])[0]
-        assert convex_margin(f, 0.6) == convex_margins(f, [0.6])[0]
+        assert starlike_margin(f, 0.6) == starlike_margins_of([f], [0.6])[0][0]
+        assert convex_margin(f, 0.6) == convex_margins_of([f], [0.6])[0][0]
 
     def test_radius_validation_and_empty_list(self):
         with pytest.raises(ValueError):
-            convex_margins(identity_map(), (0.5, 1.0))
-        assert starlike_margins(identity_map(), ()) == []
+            convex_margins_of([identity_map()], (0.5, 1.0))
+        assert starlike_margins_of([identity_map()], ())[0] == []
 
 
 def assert_set_matches_one_by_one(maps, radii):
@@ -337,13 +335,13 @@ class TestMarginSets:
         # the later map's degenerate radius 0.3 comes first in radius order,
         # but the loop over maps raises for the earlier map's 0.5
         members = sample_members(ClassId(ClassName.U_H0), range(good), 64)
-        for margins, margins_of, scale in ((starlike_margins, starlike_margins_of, 1.0), (convex_margins, convex_margins_of, 0.5)):
+        for margins_of, scale in ((starlike_margins_of, 1.0), (convex_margins_of, 0.5)):
             first = analytic_map(AnalyticSeries([1.0, -scale / 0.5]))
             second = analytic_map(AnalyticSeries([1.0, -scale / 0.3]))
             maps = members + [first] + members + [second]
             with pytest.raises(DegenerateCurveError) as loop:
                 for f in maps:
-                    margins(f, (0.3, 0.5, 0.7))
+                    margins_of([f], (0.3, 0.5, 0.7))
             with pytest.raises(DegenerateCurveError, match="r=0.5$") as whole:
                 margins_of(maps, (0.3, 0.5, 0.7))
             assert str(whole.value) == str(loop.value)
@@ -354,9 +352,9 @@ class TestMarginSets:
         radii = (0.3, 0.6, 0.9)
         for seed in range(8):
             f = sample_member(ClassId(ClassName.R_H0), seed, 64)
-            for margins in (starlike_margins, convex_margins):
-                plain = margins(f, radii)
-                numpy_radii = margins(f, np.array(radii))
+            for margins_of in (starlike_margins_of, convex_margins_of):
+                plain = margins_of([f], radii)[0]
+                numpy_radii = margins_of([f], np.array(radii))[0]
                 assert all(type(rep.r) is float for rep in numpy_radii)
                 assert [(rep.r, rep.min_margin.hex(), rep.witness_angle.hex()) for rep in numpy_radii] == [
                     (rep.r, rep.min_margin.hex(), rep.witness_angle.hex()) for rep in plain

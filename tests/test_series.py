@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 
 from harmap.harmonic import HarmonicMap, slice_map
 from harmap.series import (
+    ROW_BY_ROW_POINTS,
     AnalyticSeries,
     DomainError,
+    _candidates,
     alexander,
     circle_scan,
     convolve,
-    evaluate_stack,
+    evaluate_groups,
     linear_combine,
     point_batches,
 )
@@ -187,80 +189,113 @@ def random_series(rng, order, const=0.0, decay=1.0):
 
 
 class TestEvaluateStack:
-    """Each row of the stacked Horner loop equals ``evaluate`` bit for bit."""
+    """Each row of the stacked Horner loop, ``evaluate_groups``, equals
+    ``evaluate`` bit for bit, and an array ``evaluate`` is its case of one
+    group of one series."""
+
+    def pool(self, rng, order=2048):
+        return [
+            random_series(rng, 300, const=0.25j),
+            random_series(rng, 7),
+            AnalyticSeries(np.zeros(40)),
+            random_series(rng, 1, const=-1.5),
+            AnalyticSeries(np.zeros(5), const=2.0),
+            random_series(rng, order, decay=0.5),
+        ]
 
     @pytest.mark.parametrize(
         "shape", [(1,), (2,), (3,), (256,), (1, 1), (5, 1), (1, 5), (4, 16), (1, 1, 1)]
     )
     def test_rows_equal_evaluate(self, shape):
         rng = np.random.default_rng(len(shape) * 1000 + int(np.prod(shape)))
-        series = [
-            random_series(rng, 300, const=0.25j),
-            random_series(rng, 7),
-            AnalyticSeries(np.zeros(40)),
-            random_series(rng, 1, const=-1.5),
-            AnalyticSeries(np.zeros(5), const=2.0),
-            random_series(rng, 2048, decay=0.5),
-        ]
+        series = self.pool(rng)
         z = 0.99 * rng.uniform(0.0, 1.0, shape) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, shape))
-        rows = evaluate_stack(series, z)
-        assert rows.shape == (len(series),) + shape
-        for s, row in zip(series, rows):
-            assert row.tobytes() == np.ascontiguousarray(s.evaluate(z)).tobytes()
+        for s in series:
+            value = s.evaluate(z)
+            assert value.shape == shape
+            assert value.tobytes() == evaluate_groups([(s,)], z.reshape(1, -1))[0, 0].tobytes()
+        if z.size >= 2:
+            # five live series in one group run stacked, with each row's own bits
+            rows = evaluate_groups([tuple(series)], z.reshape(1, -1))
+            assert rows.shape == (1, len(series), z.size)
+            for s, row in zip(series, rows[0]):
+                assert row.tobytes() == s.evaluate(z).tobytes()
 
-    @pytest.mark.parametrize("live", [[], [1], [0, 2]])
+    @pytest.mark.parametrize("live", [[], [1], [0, 2], [0, 1, 2]])
     def test_zero_rows_and_few_live_series(self, live):
         rng = np.random.default_rng(3)
         series = [AnalyticSeries(np.zeros(9)) for _ in range(3)]
         for k in live:
             series[k] = random_series(rng, 20 + k)
         z = 0.9 * np.exp(2j * np.pi * np.arange(64) / 64)
-        rows = evaluate_stack(series, z)
+        rows = evaluate_groups([tuple(series)], z[None])[0]
         for k, s in enumerate(series):
             assert rows[k].tobytes() == s.evaluate(z).tobytes()
             if k not in live:
                 assert not rows[k].any()
+
+    @pytest.mark.parametrize(
+        "order, live, width",
+        [
+            (64, 2, ROW_BY_ROW_POINTS - 1),
+            (64, 2, ROW_BY_ROW_POINTS),
+            (200, 2, ROW_BY_ROW_POINTS),
+            (64, 3, ROW_BY_ROW_POINTS),
+        ],
+    )
+    def test_both_sides_of_the_row_by_row_rule(self, order, live, width):
+        # two live series run row by row from ROW_BY_ROW_POINTS points on, three stay stacked
+        rng = np.random.default_rng(order + live + width)
+        series = tuple(random_series(rng, order - k) for k in range(live)) + (AnalyticSeries(np.zeros(order)),)
+        z = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, (3, width))) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, width)))
+        values = evaluate_groups([series] * 3, z)
+        assert values.shape == (3, len(series), width)
+        for j in range(3):
+            for s, row in zip(series, values[j]):
+                assert row.tobytes() == s.evaluate(z[j]).tobytes()
 
     def test_strided_and_fortran_points(self):
         rng = np.random.default_rng(4)
         series = [random_series(rng, 64), random_series(rng, 65, const=1.0)]
         grid = 0.95 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (12, 20)))
         for z in (grid[:, ::3], np.asfortranarray(grid), grid.ravel()[::7]):
-            rows = evaluate_stack(series, z)
+            rows = evaluate_groups([tuple(series)], np.ascontiguousarray(z).reshape(1, -1))[0]
             for s, row in zip(series, rows):
-                assert row.tobytes() == np.ascontiguousarray(s.evaluate(z)).tobytes()
+                value = s.evaluate(z)
+                assert value.shape == z.shape
+                assert value.tobytes() == np.ascontiguousarray(s.evaluate(np.ascontiguousarray(z))).tobytes()
+                assert value.ravel().tobytes() == row.tobytes()
 
     def test_outside_disk_rejected(self):
         for z in (1.0, math.nan, math.inf, complex(math.nan, 0.0)):
             with pytest.raises(DomainError):
-                evaluate_stack([identity_series(3)], np.array([0.5, z]))
+                identity_series(3).evaluate(np.array([0.5, z]))
 
     @pytest.mark.parametrize("points", [1, 2, 3, 40])
     @pytest.mark.parametrize("chosen", [[0, 1, 2, 3, 4, 5], [0, 2], [2, 4], [5]])
-    def test_per_series_rows(self, points, chosen):
+    def test_group_rows(self, points, chosen):
         rng = np.random.default_rng(points * 10 + len(chosen))
-        pool = [
-            random_series(rng, 300, const=0.25j),
-            random_series(rng, 7),
-            AnalyticSeries(np.zeros(40)),
-            random_series(rng, 1, const=-1.5),
-            AnalyticSeries(np.zeros(5), const=2.0),
-            random_series(rng, 64),
-        ]
-        series = [pool[k] for k in chosen]
+        series = tuple(self.pool(rng, 64)[k] for k in chosen)
         z = 0.99 * rng.uniform(0.0, 1.0, points) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, points))
-        # the shared points on every row give the shared-point form
-        shared = evaluate_stack(series, np.broadcast_to(z, (len(series), points)), per_series=True)
-        assert shared.tobytes() == evaluate_stack(series, z).tobytes()
-        rows = 0.99 * rng.uniform(0.0, 1.0, (len(series), points)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (len(series), points)))
-        got = evaluate_stack(series, rows, per_series=True)
-        assert got.shape == (len(series), points)
-        for s, w, row in zip(series, rows, got):
-            assert row.tobytes() == np.ascontiguousarray(s.evaluate(w)).tobytes()
+        # a call with one live series takes rows of any width
+        for s in series:
+            assert evaluate_groups([(s,)], z[None])[0, 0].tobytes() == s.evaluate(z).tobytes()
+        if points == 1 and sum(not s._is_zero for s in series) > 1:
+            return  # rows of two or more live series are at least two points wide
+        # one group of every series, or one group per series, at the same points
+        shared = evaluate_groups([series], z[None])
+        apart = evaluate_groups([(s,) for s in series], np.broadcast_to(z, (len(series), points)))
+        assert shared.tobytes() == apart.tobytes()
+        rows = 0.99 * rng.uniform(0.0, 1.0, (3, points)) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, points)))
+        got = evaluate_groups([series] * 3, rows)
+        assert got.shape == (3, len(series), points)
+        for w, group in zip(rows, got):
+            for s, row in zip(series, group):
+                assert row.tobytes() == np.ascontiguousarray(s.evaluate(w)).tobytes()
 
-    def test_per_series_rows_outside_disk_rejected(self):
+    def test_group_rows_outside_disk_rejected(self):
         with pytest.raises(DomainError):
-            evaluate_stack([identity_series(3)] * 3, np.array([[0.5, 0.1]] * 2 + [[0.5, 1.0]]), per_series=True)
+            evaluate_groups([(identity_series(3),)] * 3, np.array([[0.5, 0.1]] * 2 + [[0.5, 1.0]]))
 
 
 def hexes(w: complex):
@@ -325,6 +360,16 @@ class TestPointEvaluators:
         assert [hexes(v) for v in got] == [hexes(series[k].evaluate(w)) for k, w in zip(rows, points)]
 
 
+def test_scan_candidates_keep_what_may_tie_with_the_least():
+    # per row: low = value - err against the least high = value + err; an
+    # interval that is not a number (inf - inf, nan) is the whole line
+    value = np.array([[0.0, 1.0, 3.0, np.inf, np.nan], [2.0, 2.0, -1.0, 5.0, 0.0]])
+    err = np.array([[0.5, 0.6, 0.1, np.inf, 0.0], [0.0, 0.0, 1.0, 0.0, 1.0]])
+    with np.errstate(all="raise"):
+        kept = _candidates(value, err)
+    assert kept.tolist() == [[True, True, False, True, True], [False, False, True, False, True]]
+
+
 def circle_points(r, angles):
     """The circle tables of harmap.geometry, rounded the same way."""
     return r * np.exp(1j * (np.arange(angles) * (2.0 * np.pi / angles)))
@@ -350,7 +395,7 @@ class TestCircleScan:
         assert not values[2].any() and not bound[2].any()
         n = np.arange(1, order + 1)
         for j, r in enumerate(self.RADII):
-            horner = evaluate_stack(series, circle_points(r, angles))
+            horner = [s.evaluate(circle_points(r, angles)) for s in series]
             for k, s in enumerate(series[:2]):
                 gap = np.max(np.abs(values[k, j] - horner[k]))
                 assert gap <= bound[k, j]
