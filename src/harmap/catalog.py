@@ -13,7 +13,6 @@ from dataclasses import replace
 from enum import Enum
 
 import numpy as np
-from scipy.special import spence
 
 from .harmonic import HarmonicMap, alexander_plus, analytic_map
 from .series import AnalyticSeries, DomainError
@@ -90,9 +89,56 @@ def make(tag, order: int) -> HarmonicMap:
     raise AssertionError(f"unhandled tag {tag}")
 
 
+#: Li2(1) = pi^2 / 6, correctly rounded
+_ZETA2 = 1.6449340668482264
+
+#: B_2k / (2k + 1)! for k = 1..12, the terms of Li2's Bernoulli series in u
+#: past u - u^2/4 (the odd Bernoulli numbers past B_1 are 0)
+_LI2_BERNOULLI = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06, -9.185773074661964e-08,
+    1.8978869988971e-09, -4.0647616451442256e-11, 8.921691020456452e-13, -1.9939295860721074e-14,
+    4.518980029619918e-16, -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21,
+)
+
+
+def _li2_series(w):
+    """Li2(w) for |w| <= 1, Re w <= 1/2: sum B_n u^(n+1) / (n+1)!, u = -log(1 - w).
+
+    There |u| <= pi/3, so the first term left out (k = 13) is below 5e-22 of u.
+    """
+    x, y = w.real, w.imag
+    # -log(1 - w) from real functions: numpy's complex log1p loses relative
+    # accuracy at small |w| (2e-5 at w = 1e-12)
+    u = -0.5 * np.log1p(x * (x - 2.0) + y * y) + 1j * np.arctan2(y, 1.0 - x)
+    u2 = u * u
+    tail = _LI2_BERNOULLI[-1]
+    for c in _LI2_BERNOULLI[-2::-1]:
+        tail = tail * u2 + c
+    return u * (1.0 - 0.25 * u + u2 * tail)
+
+
 def _dilog(z):
-    """Principal-branch dilogarithm sum z^n / n^2."""
-    return spence(1.0 - np.asarray(z, dtype=np.complex128))
+    """Principal-branch dilogarithm Li2(z) = sum z^n / n^2 on the closed unit disk.
+
+    Where Re z <= 1/2, the Bernoulli series in u = -log(1 - z); elsewhere the
+    reflection Li2(z) = pi^2/6 - log z log(1 - z) - Li2(1 - z), whose Li2(1 - z)
+    is that series again; Li2(1) is pi^2/6 exactly.  Each branch runs on its own
+    points only, so neither meets log 0.  Against mpmath at 40 digits the
+    relative error is below 1e-15 on the disk, the unit circle and near z = 0
+    and z = 1 (D. Zagier, "The dilogarithm function", 2007).  Arrays keep their
+    shape; a scalar gives a 0-d array.
+    """
+    z = np.asarray(z, dtype=np.complex128)
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    series = flat.real <= 0.5
+    out[series] = _li2_series(flat[series])
+    one = flat == 1.0
+    out[one] = _ZETA2
+    reflected = ~(series | one)
+    w = flat[reflected]
+    out[reflected] = _ZETA2 - np.log(w) * np.log(1.0 - w) - _li2_series(1.0 - w)
+    return out.reshape(z.shape)
 
 
 def _koebe(z):

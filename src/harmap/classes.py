@@ -26,8 +26,8 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import spence
 
+from .catalog import _dilog
 from .geometry import DEFAULT_GRID, GRID_ANGLES, SamplingGrid, _winding_number
 from .harmonic import HarmonicMap
 from .series import EPS, AnalyticSeries, _candidates, circle_scan, evaluate_groups, padded_rows
@@ -266,14 +266,17 @@ def _upper_R(r: float) -> float:
     return math.inf if r >= 1.0 else -r - 2.0 * math.log1p(-r)
 
 
-# the W_H0 envelopes are -r - 2 Li2(-r) and -r + 2 Li2(r), with the
-# dilogarithm Li2(x) = spence(1 - x)
 def _lower_W(r: float) -> float:
-    return -r - 2.0 * float(spence(1.0 + r))
+    """W_H0's lower envelope -r - 2 Li2(-r); Li2(-r) from the Bernoulli series of
+    :func:`harmap.catalog._dilog`, to 1e-15 relative."""
+    return -r - 2.0 * float(_dilog(-r).real)
 
 
 def _upper_W(r: float) -> float:
-    return -r + 2.0 * float(spence(1.0 - r))
+    """W_H0's upper envelope -r + 2 Li2(r); Li2(r) from the series of
+    :func:`harmap.catalog._dilog` for r <= 1/2, from its reflection above, and
+    pi^2/6 exactly at r = 1, to 1e-15 relative."""
+    return -r + 2.0 * float(_dilog(r).real)
 
 
 _ENVELOPES: dict[ClassName, tuple[Callable[[float], float], Callable[[float], float]]] = {

@@ -1,10 +1,11 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from harmap.catalog import CatalogTag, eval_closed, make
+from harmap.catalog import _ZETA2, CatalogTag, _dilog, eval_closed, make
 from harmap.harmonic import eval_map
 from harmap.series import DomainError
 
@@ -103,6 +104,70 @@ class TestClosedForms:
     def test_unknown_tag(self):
         with pytest.raises(ValueError):
             eval_closed("bogus", 0.1)
+
+
+def _li2_relative_errors(z: np.ndarray) -> np.ndarray:
+    """|_dilog(z) - Li2(z)| / |Li2(z)| against mpmath at 40 digits (0 where both are 0)."""
+    got = _dilog(z)
+    errors = []
+    with mpmath.workdps(40):
+        for point, value in zip(z, got):
+            exact = mpmath.polylog(2, mpmath.mpc(point.real, point.imag))
+            diff = abs(mpmath.mpc(value.real, value.imag) - exact)
+            errors.append(0.0 if diff == 0 else float(diff / abs(exact)))
+    return np.array(errors)
+
+
+def _near_one():
+    # 1 - 10^-k on the real axis and off it, inside the disk
+    delta = 10.0 ** -np.arange(1, 13)
+    return np.concatenate([1 - delta, 1 - delta * (1 + 1j) / math.sqrt(2), 1 - delta * (1 - 1j) / math.sqrt(2)])
+
+
+_LI2_POINTS = {
+    # 3,034 points in all; the branches meet on the seam Re z = 1/2
+    "interior": lambda: np.sqrt(np.random.default_rng(11).uniform(0.0, 1.0, 1600))
+    * np.exp(2j * np.pi * np.random.default_rng(12).uniform(0.0, 1.0, 1600)),
+    "unit circle": lambda: np.exp(2j * np.pi * np.arange(600) / 600),
+    "real segment": lambda: np.linspace(-1.0, 1.0, 301).astype(np.complex128),
+    "seam": lambda: np.concatenate(
+        [
+            0.5 + 1j * np.linspace(-math.sqrt(0.75), math.sqrt(0.75), 201),
+            np.nextafter(0.5, 1.0) + 1j * np.linspace(-0.85, 0.85, 101),
+        ]
+    ),
+    "small moduli": lambda: (10.0 ** -np.arange(1, 13))[:, None] * np.exp(2j * np.pi * np.arange(16) / 16)[None, :],
+    "near one": _near_one,
+    "exact": lambda: np.array([0.0, 1.0, -1.0], dtype=np.complex128),
+}
+
+
+class TestDilogarithm:
+    @pytest.mark.parametrize("region", tuple(_LI2_POINTS))
+    def test_against_mpmath(self, region):
+        z = _LI2_POINTS[region]().ravel()
+        assert np.all(np.abs(z) <= 1.0 + 1e-15)
+        assert np.max(_li2_relative_errors(z)) <= 1e-15
+
+    def test_point_where_scipy_spence_read_5e_14(self):
+        assert _li2_relative_errors(np.array([-0.0020045070140281007 + 0j]))[0] <= 1e-15
+
+    def test_exact_values(self):
+        assert _dilog(0.0) == 0.0
+        assert _dilog(1.0) == _ZETA2 == float(mpmath.zeta(2))
+        assert _dilog(-1.0) == pytest.approx(-_ZETA2 / 2, rel=1e-15, abs=0.0)
+
+    def test_no_floating_point_exception_at_the_branch_points(self):
+        z = np.concatenate([[0.0, 1.0, -1.0, 0.5], np.exp(2j * np.pi * np.arange(64) / 64), _near_one()])
+        with np.errstate(all="raise"):
+            assert np.all(np.isfinite(_dilog(z)))
+
+    def test_shapes(self):
+        assert _dilog(0.3).shape == ()
+        assert _dilog(np.full((2, 3), 0.7j)).shape == (2, 3)
+        assert _dilog(np.zeros(0)).shape == (0,)
+        assert type(eval_closed(CatalogTag.CHICHRA_W, 0.3)) is complex
+        assert eval_closed(CatalogTag.CHICHRA_W, np.full((2, 2), 0.3)).shape == (2, 2)
 
 
 class TestSeriesClosedFormAgreement:

@@ -257,10 +257,14 @@ class TestGrowthEnvelope:
         li2 = lambda x: float(np.real(spence(complex(1 - x, 0))))
         assert lo_r == pytest.approx(-r - 2 * li2(-r), abs=1e-10)
         assert hi_r == pytest.approx(-r + 2 * li2(r), abs=1e-10)
-        for r in (0.01, 0.3, 0.7, 0.97, 1.0):
-            lo_r, hi_r = growth_envelope(ClassId(ClassName.W_H0), r)
-            assert lo_r == pytest.approx(float(-r - 2 * mpmath.polylog(2, -r)), rel=1e-14, abs=0.0)
-            assert hi_r == pytest.approx(float(-r + 2 * mpmath.polylog(2, r)), rel=1e-14, abs=0.0)
+        # on (0, 1], r = 1 included: Li2(-r) from the series, Li2(r) from the
+        # series, the reflection and Li2(1) = pi^2/6
+        radii = np.concatenate([10.0 ** -np.arange(1, 13), np.linspace(0.005, 1.0, 200), [0.01, 0.3, 0.7, 0.97]])
+        with mpmath.workdps(40):
+            for r in map(float, radii):
+                lo_r, hi_r = growth_envelope(ClassId(ClassName.W_H0), r)
+                assert lo_r == pytest.approx(float(-r - 2 * mpmath.polylog(2, -r)), rel=2e-15, abs=0.0)
+                assert hi_r == pytest.approx(float(-r + 2 * mpmath.polylog(2, r)), rel=2e-15, abs=0.0)
 
     def test_U_V_limits(self):
         assert growth_envelope(ClassId(ClassName.U_H0), 1.0)[0] == 0.5
