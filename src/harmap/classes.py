@@ -286,7 +286,7 @@ _ENVELOPES: dict[ClassName, tuple[Callable[[float], float], Callable[[float], fl
     ClassName.V_H0: (lambda r: r - r**2 / 4, lambda r: r + r**2 / 4),
 }
 
-_GAP_BOUNDS: dict[ClassName, Callable[[int], float]] = {
+_GAP_BOUNDS: dict[ClassName, Callable[[np.ndarray], np.ndarray]] = {
     ClassName.R_H0: lambda n: 2.0 / n,
     ClassName.W_H0: lambda n: 2.0 / n**2,
     ClassName.U_H0: lambda n: 1.0 / n,
@@ -318,7 +318,7 @@ def coefficient_bound_check(f: HarmonicMap, c: ClassId, n_max: int) -> BoundChec
         raise ValueError(f"n_max must be at least 2, got {n_max}")
     ns = np.arange(2, n_max + 1)
     gaps = np.abs(np.abs(f.h.coeffs[1:n_max]) - np.abs(f.g.coeffs[1:n_max]))
-    bounds = np.array([_GAP_BOUNDS[c.name](int(n)) for n in ns])
+    bounds = _GAP_BOUNDS[c.name](ns)
     bad = gaps > bounds + EXACT_TOL
     violations = tuple(
         (int(n), float(g), float(bnd)) for n, g, bnd in zip(ns[bad], gaps[bad], bounds[bad])

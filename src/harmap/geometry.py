@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonic import HarmonicMap, eval_map, jacobian
+from .harmonic import HarmonicMap
 from .series import EPS, _candidates, circle_scan, evaluate_groups, padded_rows, point_batches
 
 DEGENERACY_TOL = 1e-12
@@ -138,11 +138,6 @@ def _circle(r: float, angles: int) -> tuple[np.ndarray, np.ndarray]:
     """Angles and points of |z| = r; the angle table is shared and read-only."""
     theta, unit = _unit_circle(angles)
     return theta, r * unit
-
-
-def _check_radius(r: float) -> None:
-    if not 0.0 < r < 1.0:
-        raise ValueError(f"circle radius must lie in (0, 1), got {r}")
 
 
 def _refinement(b: float, h: float, fa: float, fb: float, fc: float):
@@ -543,20 +538,24 @@ def _winding_number(w: np.ndarray, about: complex) -> float:
 def univalent_on_circle(f: HarmonicMap, r: float) -> bool:
     """Certify one-to-one behavior of f on |z| = r at polygon resolution.
 
-    Requires a simple sample polygon, winding number 1 about f(0) = 0,
-    and a positive Jacobian at every sample.  Simplicity is the strict
-    crossing test of ``_polygon_is_simple``: touching and collinear
-    contacts do not count as crossings.  Beyond evaluating f, the cost is
-    O(m log m + candidate pairs) for m = ``UNIVALENCE_ANGLES`` samples,
-    where the candidates are the non-adjacent segment pairs whose
-    bounding boxes overlap.
+    The truncated series is judged, as margins and memberships judge it;
+    a catalog map's closed form plays no part.  One ``circle_scan`` gives
+    h, g, h' and g' at m = ``UNIVALENCE_ANGLES`` points: the polygon
+    h + conj(g) must be simple (the strict crossing test of
+    ``_polygon_is_simple``; touching and collinear contacts do not count)
+    and wind once about f(0) = 0, and the Jacobian |h'|**2 - |g'|**2 must
+    be positive at every sample.  The cost is one transform plus the
+    polygon test, O(m log m + candidate pairs) for the non-adjacent
+    segment pairs whose bounding boxes overlap.  The scan's per-series
+    ``bound`` is what a certificate for the closed disk can widen these
+    tests by.  A radius outside (0, 1) raises the scan's ``DomainError``.
     """
-    _check_radius(r)
-    _, z = _circle(r, UNIVALENCE_ANGLES)
-    w = np.asarray(eval_map(f, z))
+    values, _ = circle_scan([f.h, f.g, f.h.derivative(), f.g.derivative()], (r,), UNIVALENCE_ANGLES)
+    h, g, hp, gp = values[:, 0]
+    w = h + np.conj(g)
     if np.min(np.abs(w)) < DEGENERACY_TOL:
         return False
-    if np.any(jacobian(f, z) <= 0):
+    if np.any(np.abs(hp) ** 2 - np.abs(gp) ** 2 <= 0):
         return False
     if abs(_winding_number(w, 0.0) - 1.0) > 0.5:
         return False

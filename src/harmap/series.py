@@ -290,9 +290,9 @@ def circle_scan(series, radii, angles: int) -> tuple[np.ndarray, np.ndarray]:
     2048 angles and r from 1e-3 to 0.99, the largest difference is a
     fifth of the bound; against 40-digit arithmetic (harmonic Koebe,
     order 400, r = 0.99) Horner's own rounding stays below 5 eps S and
-    the transform's below 1 eps S.  The values are for choosing points;
-    every reported value is evaluated by Horner.  Radii outside (0, 1)
-    raise ``DomainError``.
+    the transform's below 1 eps S.  Margins and certificates choose points
+    by the values and report Horner's; the univalence test reads the values.
+    Radii outside (0, 1) raise ``DomainError``.
     """
     radii = np.asarray(radii, dtype=np.float64).reshape(-1)
     if not np.all((radii > 0.0) & (radii < 1.0)):

@@ -643,6 +643,9 @@ def _suite_t3_9(rec: _Recorder, seed: int) -> None:
             for us, vs in zip(u_chunks, v_chunks)
         ),
     )
+    # the row above cannot fail while membership is right; a kernel with |phi_2| > 1 must break the class
+    pushed = membership(tilde_convolve(AnalyticSeries([1.0, 2.0]), make(CatalogTag.U_SHARP, 16)), u_cid)
+    rec.boolean("kernel z + 2z^2 pushes the quadratic extremal out of U_H0 [exact]", pushed.is_member, False)
 
     worst_conv, _, _ = _worst(
         convex_margins_of,

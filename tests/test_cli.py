@@ -99,6 +99,13 @@ class TestExitCodes:
         assert main(["radius", "--property", "convex", "--input", "u_sharp", "--order", order]) == 0
         assert capsys.readouterr().out.startswith("property=convex value=0.49990234375 ")
 
+    def test_univalence_radius_of_order_two_koebe(self, capsys):
+        # the polynomial z + 2 z^2 is judged, not the Koebe function: h' vanishes at |z| = 1/4
+        assert main(["radius", "--property", "univalent", "--input", "koebe", "--order", "2"]) == 0
+        out = capsys.readouterr().out
+        lo, hi = map(float, out.split("bracket=[")[1].split("]")[0].split(", "))
+        assert lo < 0.25 <= hi and hi - lo <= 2e-4
+
     @pytest.mark.parametrize(
         "option",
         [["--radii", "0.5,1.2"], ["--radii", "0.5,nan"], ["--radii", "0.5", "--samples", "100"]],

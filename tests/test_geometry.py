@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from harmap.catalog import CatalogTag, make
-from harmap.classes import ClassId, ClassName, sample_member, sample_members
+from harmap.classes import RELATIVE_CLASSES, ClassId, ClassName, sample_member, sample_members
 import harmap.geometry
 from harmap.geometry import (
     DEGENERACY_TOL,
@@ -19,6 +19,7 @@ from harmap.geometry import (
     DegenerateCurveError,
     GRID_ANGLES,
     SamplingGrid,
+    UNIVALENCE_ANGLES,
     convex_margin,
     convex_margins_of,
     radius_estimate,
@@ -29,9 +30,10 @@ from harmap.geometry import (
     _polygon_is_simple,
     _refinement,
     _unit_circle,
+    _winding_number,
     univalent_on_circle,
 )
-from harmap.harmonic import HarmonicMap, analytic_map, eval_map, slice_map
+from harmap.harmonic import HarmonicMap, analytic_map, eval_map, jacobian, slice_map
 from harmap.series import AnalyticSeries
 
 
@@ -469,6 +471,69 @@ class TestUnivalence:
         # h = z + 2 z^2 folds the circle r = 0.9 (derivative vanishes inside)
         f = analytic_map(AnalyticSeries([1.0, 2.0]))
         assert not univalent_on_circle(f, 0.9)
+
+    def test_order_two_koebe_judged_by_its_series(self):
+        # make(KOEBE, 2) is the polynomial z + 2 z^2, whose h' vanishes at
+        # |z| = 1/4; the Koebe function it truncates is univalent on r = 0.9
+        assert not univalent_on_circle(make(CatalogTag.KOEBE, 2), 0.9)
+
+    @pytest.mark.parametrize("r", [0.0, 1.0, -0.5, 1.5, math.nan])
+    def test_radius_outside_the_disk(self, r):
+        with pytest.raises(ValueError):
+            univalent_on_circle(identity_map(), r)
+
+    @pytest.mark.parametrize("tag", list(CatalogTag), ids=lambda t: t.value)
+    def test_tagged_map_is_judged_as_its_series(self, tag):
+        for order in UNIVALENCE_CATALOG_ORDERS:
+            f = make(tag, order)
+            untagged = HarmonicMap(f.h, f.g)
+            for r in UNIVALENCE_RADII:
+                assert univalent_on_circle(f, r) == univalent_on_circle(untagged, r), (order, r)
+
+    @pytest.mark.parametrize("source", list(CatalogTag) + list(ClassName), ids=lambda s: s.value)
+    def test_scan_matches_horner_reference(self, source):
+        answers = [
+            (univalent_on_circle(f, r), horner_univalent(f, r))
+            for f in univalence_battery(source)
+            for r in UNIVALENCE_RADII
+        ]
+        assert [scan for scan, _ in answers] == [horner for _, horner in answers]
+
+
+UNIVALENCE_RADII = (0.3, 0.6, 0.9, 0.95, 0.99)
+UNIVALENCE_CATALOG_ORDERS = (2, 8, 64, 400)
+
+
+def horner_univalent(f, r):
+    """Reference: the univalence test on Horner values of the untagged map
+    at the points of the circle table, through eval_map and jacobian."""
+    f = HarmonicMap(f.h, f.g)
+    _, z = _circle(r, UNIVALENCE_ANGLES)
+    w = eval_map(f, z)
+    if np.min(np.abs(w)) < DEGENERACY_TOL:
+        return False
+    if np.any(jacobian(f, z) <= 0):
+        return False
+    if abs(_winding_number(w, 0.0) - 1.0) > 0.5:
+        return False
+    return _polygon_is_simple(w)
+
+
+def univalence_battery(source):
+    """Untagged series of a catalog tag at ``UNIVALENCE_CATALOG_ORDERS``, or
+    members of a class at orders 16, 64 and 200 (Koebe reference for the _G
+    classes) beside two stretches of each that can break univalence: h's
+    nonlinear part times 4, and g times 3."""
+    if isinstance(source, CatalogTag):
+        return [HarmonicMap(f.h, f.g) for f in (make(source, n) for n in UNIVALENCE_CATALOG_ORDERS)]
+    ref = make(CatalogTag.KOEBE, 200).h if source in RELATIVE_CLASSES else None
+    maps = []
+    for order in (16, 64, 200):
+        for f in sample_members(ClassId(source, reference_map=ref), range(2), order):
+            h = f.h.coeffs.copy()
+            h[1:] *= 4.0
+            maps += [f, HarmonicMap(AnalyticSeries(h), f.g), HarmonicMap(f.h, AnalyticSeries(3.0 * f.g.coeffs))]
+    return maps
 
 
 def exact_side(p, q, r):
