@@ -26,7 +26,8 @@ radii take 40% (order 64) to 49% (order 200) less time as one set than
 map by map.
 Positive margins certify the property on that circle.  Radius
 estimation locates the first radius where a property fails by a scan
-followed by bisection.  A ``SamplingGrid`` is the one circle, of
+followed by bisection, one radius at a time, with the margins asked
+three circles per call.  A ``SamplingGrid`` is the one circle, of
 ``GRID_ANGLES`` points, that a class certificate of
 :mod:`harmap.classes` samples.
 """
@@ -179,7 +180,8 @@ def _refinement(b: float, h: float, fa: float, fb: float, fc: float):
 
 @dataclass(frozen=True)
 class _Functional:
-    """A margin getattr(num / den, ``part``) of series values on a circle.
+    """A margin ``name``, getattr(num / den, ``part``) of the values of a
+    map's ``series(f)`` on a circle.
 
     ``quotient(z, *values)`` returns (num, den).  Each is a sum of series
     values, or their conjugates, each at most once and times z**k with
@@ -188,6 +190,8 @@ class _Functional:
     ``DegenerateCurveError`` with ``degenerate`` formatted with r.
     """
 
+    name: str
+    series: Callable
     quotient: Callable
     part: str
     degenerate: str
@@ -252,9 +256,12 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
     Per circle, the sampled minimum on ``MARGIN_ANGLES`` equispaced
     points and its two neighbours bracket a local minimum, which is then
     refined.  Returns, per tuple, one (value, angle) per radius, the
-    angle in [0, 2*pi).  A check that raises does so for the first
-    offending circle in the order (tuple, radius), as if the tuples were
-    taken one at a time.
+    angle in [0, 2*pi), or, for a circle where |den| falls below
+    ``DEGENERACY_TOL`` at a sampled or refined point, that circle's
+    ``DegenerateCurveError`` in its place: the caller decides which
+    error, if any, to raise (:func:`_margins_of` the first in the order
+    (tuple, radius), :func:`radius_estimate` the first its sequential
+    rule reaches).
 
     The circle scan finds the minimum and Horner reports it.  Per tuple,
     one inverse FFT (:func:`circle_scan`) evaluates every series on every
@@ -299,8 +306,9 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
     orders 64 (0.30 against 0.26 ms at 16 circles, 0.32 against 0.33 ms
     at 20) and 200 (0.90 against 0.81 ms, 0.92 against 1.02 ms); at 128
     circles it is 3.3 to 4 times faster.  So one-map calls at a few radii
-    (``radius_estimate``, the figure suites) go point by point, and the
-    member chunks of ``verify`` are batched until their last few circles.
+    (``radius_estimate``'s three circles a call, the figure suites) go
+    point by point, and the member chunks of ``verify`` are batched until
+    their last few circles.
     """
     if not radii or not stacks:
         return [[] for _ in stacks]
@@ -351,19 +359,22 @@ def _circle_minima(functional: _Functional, stacks, radii: tuple[float, ...]):
         right = k + 1 if i < MARGIN_ANGLES - 1 else start
         circles.append((m, radii[r], (float(theta[i]), 2.0 * np.pi / MARGIN_ANGLES, at[left], at[k], at[right])))
 
-    minima = [(value, angle % (2.0 * np.pi)) for angle, value in _refine_in_lockstep(functional, stacks, circles)]
+    minima = [
+        found if isinstance(found, DegenerateCurveError) else (found[1], found[0] % (2.0 * np.pi))
+        for found in _refine_in_lockstep(functional, stacks, circles)
+    ]
     return [minima[m * len(radii) : (m + 1) * len(radii)] for m in range(len(stacks))]
 
 
-def _refine_in_lockstep(functional: _Functional, stacks, circles) -> list[tuple[float, float]]:
+def _refine_in_lockstep(functional: _Functional, stacks, circles) -> list:
     """(angle, value) of each circle's :func:`_refinement`, the steps of all
     circles taken in rounds.  Each round evaluates the point every
     unfinished circle asks for, with one :func:`point_batches` call while
     at least ``LOCKSTEP_CIRCLES`` circles ask and point by point otherwise,
     and passes the values as Python complex numbers to the scalar
     ``functional``.  An entry of ``circles`` that is an error, or a circle
-    whose point raises, is raised for the first such circle in order once
-    all have finished."""
+    whose point raises, gives its error in its place, and the other
+    circles run to the end."""
     size = len(stacks[0])
     batch = None
     results = list(circles)
@@ -394,9 +405,6 @@ def _refine_in_lockstep(functional: _Functional, stacks, circles) -> list[tuple[
             except StopIteration as done:
                 results[c] = done.value
         asking = still
-    for result in results:
-        if isinstance(result, DegenerateCurveError):
-            raise result
     return results
 
 
@@ -410,8 +418,30 @@ def _convex_quotient(z, hp, hpp, gp, gpp):
     return Tp, T
 
 
-_STARLIKE = _Functional(_starlike_quotient, "real", "curve passes through the origin at r={r}")
-_CONVEX = _Functional(_convex_quotient, "imag", "tangent vanishes on the circle r={r}")
+def _starlike_series(f: HarmonicMap):
+    return f.h, f.h.derivative(), f.g, f.g.derivative()
+
+
+def _convex_series(f: HarmonicMap):
+    hp, gp = f.h.derivative(), f.g.derivative()
+    return hp, hp.derivative(), gp, gp.derivative()
+
+
+_STARLIKE = _Functional(
+    "starlike", _starlike_series, _starlike_quotient, "real", "curve passes through the origin at r={r}"
+)
+_CONVEX = _Functional("convex", _convex_series, _convex_quotient, "imag", "tangent vanishes on the circle r={r}")
+
+
+def _margins_of(functional: _Functional, maps, radii) -> list[list[GeometryReport]]:
+    """The reports of :func:`_circle_minima` on each map's series, or the
+    error of the first degenerate circle in the order (map, radius)."""
+    radii = tuple(map(float, radii))
+    minima = _circle_minima(functional, [functional.series(f) for f in maps], radii)
+    errors = [found for row in minima for found in row if isinstance(found, DegenerateCurveError)]
+    if errors:
+        raise errors[0]
+    return [[GeometryReport(functional.name, r, v, t) for r, (v, t) in zip(radii, row)] for row in minima]
 
 
 def starlike_margins_of(maps, radii) -> list[list[GeometryReport]]:
@@ -431,10 +461,7 @@ def starlike_margins_of(maps, radii) -> list[list[GeometryReport]]:
     bits, and a radius outside (0, 1) raises ``DomainError`` from
     :func:`circle_scan`.
     """
-    radii = tuple(map(float, radii))
-    stacks = [(f.h, f.h.derivative(), f.g, f.g.derivative()) for f in maps]
-    minima = _circle_minima(_STARLIKE, stacks, radii)
-    return [[GeometryReport("starlike", r, v, t) for r, (v, t) in zip(radii, m)] for m in minima]
+    return _margins_of(_STARLIKE, maps, radii)
 
 
 def starlike_margin(f: HarmonicMap, r: float) -> GeometryReport:
@@ -451,13 +478,7 @@ def convex_margins_of(maps, radii) -> list[list[GeometryReport]]:
     the reports and the evaluation are as in :func:`starlike_margins_of`;
     a vanishing tangent raises for the first such circle in order.
     """
-    radii = tuple(map(float, radii))
-    stacks = []
-    for f in maps:
-        hp, gp = f.h.derivative(), f.g.derivative()
-        stacks.append((hp, hp.derivative(), gp, gp.derivative()))
-    minima = _circle_minima(_CONVEX, stacks, radii)
-    return [[GeometryReport("convex", r, v, t) for r, (v, t) in zip(radii, m)] for m in minima]
+    return _margins_of(_CONVEX, maps, radii)
 
 
 def convex_margin(f: HarmonicMap, r: float) -> GeometryReport:
@@ -513,14 +534,25 @@ def _polygon_is_simple(w: np.ndarray) -> bool:
     while start < m:
         limit = offsets[start] + PAIR_CHUNK
         stop = max(start + 1, int(np.searchsorted(offsets, limit, side="right")) - 1)
+        # sorted positions k and, for each, one of k + 1, ..., ends[k] - 1
         rows = np.repeat(np.arange(start, stop), counts[start:stop])
-        cols = np.arange(rows.size) + (rows + 1 - (offsets[rows] - offsets[start]))
-        i, j = order[rows], order[cols]
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        gap = j - i
+        cols = np.arange(rows.size)
+        cols += rows
+        cols -= offsets[rows]
+        cols += offsets[start] + 1
+        # a chunk can hold PAIR_CHUNK pairs: keep at most four arrays over them
+        # alive at once, and filter them before the eight end gathers
+        i = order[rows]
+        del rows
+        j = order[cols]
+        del cols
+        keep = y_lo[j] <= y_hi[i]
+        keep &= y_lo[i] <= y_hi[j]
+        gap = np.abs(i - j)
         # segment (m-1, 0) is adjacent to segment 0
-        keep = (y_lo[j] <= y_hi[i]) & (y_lo[i] <= y_hi[j]) & (gap > 1) & (gap < m - 1)
+        keep &= (gap > 1) & (gap < m - 1)
         i, j = i[keep], j[keep]
+        i, j = np.minimum(i, j), np.maximum(i, j)
         ends = (x[i], y[i], x2[i], y2[i], x[j], y[j], x2[j], y2[j])
         for k in np.flatnonzero(_crosses(*ends)):
             if _crosses(*(Fraction(v[k]) for v in ends)):
@@ -562,14 +594,8 @@ def univalent_on_circle(f: HarmonicMap, r: float) -> bool:
     return _polygon_is_simple(w)
 
 
-def _property_predicate(f: HarmonicMap, prop: str):
-    if prop == "starlike":
-        return lambda r: starlike_margin(f, r).min_margin > 0.0
-    if prop == "convex":
-        return lambda r: convex_margin(f, r).min_margin > 0.0
-    if prop == "univalent":
-        return lambda r: univalent_on_circle(f, r)
-    raise ValueError(f"unknown property {prop!r}")
+#: circles per margin call of :func:`radius_estimate`
+RADIUS_CIRCLES = 3
 
 
 def radius_estimate(f: HarmonicMap, prop: str, tol: float = 1e-4) -> RadiusEstimate:
@@ -582,14 +608,44 @@ def radius_estimate(f: HarmonicMap, prop: str, tol: float = 1e-4) -> RadiusEstim
     whose midpoint rounds onto an endpoint.  If no scanned radius fails
     the degenerate full-disk estimate 1 is returned.  ``tol`` must be
     positive and finite (``ValueError`` otherwise).
+
+    The rule reads one radius at a time, but a margin asks
+    ``RADIUS_CIRCLES`` circles in one :func:`_circle_minima` call: the
+    scan's radii three at a time, and in the bisection the midpoint with
+    both quarter points, one of which is the next midpoint.  So ``lo``
+    and ``hi`` are those of asking each radius alone, bit for bit.  A
+    degenerate circle raises its ``DegenerateCurveError`` when the rule
+    reads it, and one asked ahead that the rule never reads raises
+    nothing.  Univalence asks one circle per call, since
+    :func:`univalent_on_circle` reads one scan's values directly.  A
+    property that fails on the first scan radius raises ``ValueError``.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    holds = _property_predicate(f, prop)
-    if not holds(RADIUS_SCAN_RADII[0]):
+    functional = {"starlike": _STARLIKE, "convex": _CONVEX}.get(prop)
+    if functional is None and prop != "univalent":
+        raise ValueError(f"unknown property {prop!r}")
+    answers = {}
+
+    def holds(r: float, *ahead: float) -> bool:
+        # whether prop holds on |z| = r; a margin call also asks the first
+        # radii of ``ahead``, those the rule may read next
+        if r not in answers:
+            if functional is None:
+                answers[r] = univalent_on_circle(f, r)
+            else:
+                asked = (r, *ahead)[:RADIUS_CIRCLES]
+                for q, found in zip(asked, _circle_minima(functional, [functional.series(f)], asked)[0]):
+                    answers[q] = found if isinstance(found, DegenerateCurveError) else found[0] > 0.0
+        if isinstance(answers[r], DegenerateCurveError):
+            raise answers[r]
+        return answers[r]
+
+    scan = RADIUS_SCAN_RADII
+    if not holds(*scan):
         raise ValueError(f"property {prop!r} fails already at the smallest grid radius")
-    for lo, hi in zip(RADIUS_SCAN_RADII, RADIUS_SCAN_RADII[1:]):
-        if not holds(hi):
+    for k, (lo, hi) in enumerate(zip(scan, scan[1:])):
+        if not holds(*scan[k + 1 :]):
             break
     else:
         return RadiusEstimate(prop, 1.0, 1.0, tol)
@@ -597,7 +653,7 @@ def radius_estimate(f: HarmonicMap, prop: str, tol: float = 1e-4) -> RadiusEstim
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if holds(mid):
+        if holds(mid, 0.5 * (lo + mid), 0.5 * (mid + hi)):
             lo = mid
         else:
             hi = mid

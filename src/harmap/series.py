@@ -113,10 +113,12 @@ class AnalyticSeries:
     def _descending(self) -> list[complex]:
         """The coefficients from the highest degree down, as Python complex
         numbers: Horner's rows at a scalar, cached on the first scalar
-        evaluation, so a point costs the loop alone.  The array rows of
-        :func:`evaluate_groups` build their own per call: cached there
-        too, the list (about 40 bytes per coefficient) added 2 MB to the
-        peak memory of the high-order catalog maps' univalence tests."""
+        evaluation, so a point costs the loop alone.  The row of a lone
+        live series in :func:`evaluate_groups` builds its own per call
+        (two or more live series run on coefficient blocks): cached
+        there too, the list (about 40 bytes per coefficient) added 2 MB
+        to the peak memory of the high-order catalog maps' univalence
+        tests."""
         return self.coeffs[::-1].tolist()
 
     def derivative(self) -> "AnalyticSeries":
@@ -180,12 +182,9 @@ def padded_rows(mask: np.ndarray) -> np.ndarray:
     return mask.nonzero()[1][(counts.cumsum() - counts)[:, None] + column * (column < counts[:, None])]
 
 
-#: the row width from which two live series run row by row; time of the rows
-#: one by one over the stacked loop, 2 live series at orders 64 and 200 (best
-#: of 7, 2-core host), where 3 or more live series run faster stacked up to 512:
-#:     points per row | 12        | 64   | 128       | 256  | 512       | 1024
-#:     ratio          | 1.40-1.46 | 1.30 | 1.10-1.23 | 0.99 | 0.94-0.99 | 0.78
-ROW_BY_ROW_POINTS = 256
+#: cap on the entries of the block of coefficients, widened to the rows'
+#: width, that the stacked Horner loop of :func:`evaluate_groups` adds from
+HORNER_BLOCK = 1 << 15
 
 
 def evaluate_groups(groups, z: np.ndarray) -> np.ndarray:
@@ -197,11 +196,37 @@ def evaluate_groups(groups, z: np.ndarray) -> np.ndarray:
     (see :func:`padded_rows`) or one series is live, for numpy multiplies
     a lone element without the fused multiply-add it uses on a stack.  Each
     row of points is repeated once per series; rows of identically zero
-    series stay zero.  One live series, or two on rows of
-    ``ROW_BY_ROW_POINTS`` or more, run row by row on Python complex
-    coefficients, and otherwise one loop runs over the live rows, the lower
-    orders padded with leading zero coefficients, which keep the
-    accumulator at +0.
+    series stay zero.
+
+    Dispatch rule: one live series runs on its row with Python complex
+    coefficients; two or more run as one loop over the live rows, the
+    lower orders padded with leading zero coefficients, which keep the
+    accumulator at +0.  That loop adds each degree's coefficients from a
+    block already widened to the rows' width: one buffer per call of at
+    most ``HORNER_BLOCK`` entries takes a run of degrees at a time, each
+    degree's coefficient repeated along its row by one broadcast copy.
+    So every ``*=`` and ``+=`` has operands of one shape and takes
+    numpy's contiguous loop, where a broadcast (live, 1) column costs a
+    loop per row and degree; a complex sum rounds each part once either
+    way, so the bits do not change.  Measured (median of 15 alternated
+    runs, 2-core host), blocks against the rows one by one and against a
+    broadcast column:
+
+    | live series x maps, order, points per row | blocks | rows | broadcast |
+    |---|---|---|---|
+    | 2, order 64, 256 | 0.200 ms | 0.268 ms | 0.261 ms |
+    | 2, order 1536, 6 | 1.16 ms | 2.64 ms | 1.84 ms |
+    | 2, order 4096, 9 | 3.17 ms | 7.09 ms | 5.00 ms |
+    | 4 x 32, order 64, 12 | 0.386 ms | 0.402 ms | 0.403 ms |
+    | 4 x 32, order 200, 12 | 1.12 ms | 0.89 ms | 0.89 ms |
+    | 2, order 64, 1024 | 0.277 ms | 0.227 ms | 0.304 ms |
+
+    The order-200 set loses to the page faults of a fresh process (its
+    0.5 MB block and 0.4 MB coefficient matrix); in ``run_all`` it is 7
+    calls of about 1 ms.  Rows of 1024 points or more with two live series
+    run faster one by one, but ``run_all`` and the benchmark's workloads
+    make no such call.  One live series keeps its row: on one wide row (order
+    400, 2048 points) it takes 0.98 ms against 1.38 ms on blocks.
     """
     z = np.asarray(z, dtype=np.complex128)
     _check_disk(z)
@@ -210,14 +235,20 @@ def evaluate_groups(groups, z: np.ndarray) -> np.ndarray:
     w = np.repeat(z, size, axis=0)
     out = np.zeros(w.shape, dtype=np.complex128)
     live = [k for k, s in enumerate(series) if not s._is_zero]
-    if len(live) == 1 or (len(live) == 2 and w.shape[1] >= ROW_BY_ROW_POINTS):
-        for k in live:
-            s = series[k]
-            out[k] = s.const + _horner(s.coeffs[::-1].tolist(), w[k], np.zeros_like(w[k])) * w[k]
+    if len(live) == 1:
+        [k] = live
+        s, row = series[k], w[k]
+        out[k] = s.const + _horner(s.coeffs[::-1].tolist(), row, np.zeros_like(row)) * row
     elif live:
         matrix, const = _coefficient_matrix(series, live)
         w = w[live]
-        acc = _horner(matrix.T[::-1, :, None], w, np.zeros(w.shape, dtype=np.complex128))
+        acc = np.zeros(w.shape, dtype=np.complex128)
+        descending = matrix.T[::-1, :, None]
+        block = np.empty((min(len(descending), max(1, HORNER_BLOCK // w.size)), *w.shape), dtype=np.complex128)
+        for start in range(0, len(descending), len(block)):
+            rows = block[: len(descending) - start]
+            rows[...] = descending[start : start + len(rows)]
+            acc = _horner(rows, w, acc)
         out[live] = const[:, None] + acc * w
     return out.reshape(len(groups), size, -1)
 

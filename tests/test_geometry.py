@@ -18,6 +18,8 @@ from harmap.geometry import (
     PAIR_CHUNK,
     DegenerateCurveError,
     GRID_ANGLES,
+    RADIUS_SCAN_RADII,
+    RadiusEstimate,
     SamplingGrid,
     UNIVALENCE_ANGLES,
     convex_margin,
@@ -723,7 +725,95 @@ class TestCircleTable:
         assert _circle(0.5, 128)[1].flags.writeable
 
 
+def sequential_radius_estimate(f, prop, tol=1e-4):
+    """``radius_estimate`` as it ran with one margin call per radius: the
+    scan, then bisection, each radius asked alone and in the rule's order."""
+    holds = {
+        "starlike": lambda r: starlike_margin(f, r).min_margin > 0.0,
+        "convex": lambda r: convex_margin(f, r).min_margin > 0.0,
+        "univalent": lambda r: univalent_on_circle(f, r),
+    }[prop]
+    if not holds(RADIUS_SCAN_RADII[0]):
+        raise ValueError(f"property {prop!r} fails already at the smallest grid radius")
+    for lo, hi in zip(RADIUS_SCAN_RADII, RADIUS_SCAN_RADII[1:]):
+        if not holds(hi):
+            break
+    else:
+        return RadiusEstimate(prop, 1.0, 1.0, tol)
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return RadiusEstimate(prop, lo, hi, tol)
+
+
+def assert_estimate_matches_sequential(f, prop, tol=1e-4):
+    """The same bracket, bit for bit, or the same error the sequential rule raises."""
+    try:
+        expected = sequential_radius_estimate(f, prop, tol)
+    except (ValueError, DegenerateCurveError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            radius_estimate(f, prop, tol)
+        assert type(raised.value) is type(exc) and str(raised.value) == str(exc)
+        return
+    got = radius_estimate(f, prop, tol)
+    assert (got.property, got.lo.hex(), got.hi.hex(), got.tol) == (prop, expected.lo.hex(), expected.hi.hex(), tol)
+
+
 class TestRadiusEstimate:
+    @pytest.mark.parametrize("name", [ClassName.R_H0, ClassName.U_H0, ClassName.V_H0, ClassName.F_H0])
+    @pytest.mark.parametrize("order", [2, 16, 64])
+    def test_members_match_the_sequential_rule(self, name, order):
+        for f in sample_members(ClassId(name), range(2), order):
+            for prop in ("starlike", "convex"):
+                assert_estimate_matches_sequential(f, prop)
+
+    @pytest.mark.parametrize("tag", [CatalogTag.KOEBE, CatalogTag.HALF_PLANE])
+    def test_catalog_maps_match_the_sequential_rule(self, tag):
+        for order in (2, 16, 64):
+            for prop in ("starlike", "convex", "univalent"):
+                assert_estimate_matches_sequential(make(tag, order), prop)
+        assert_estimate_matches_sequential(make(tag, 64), "convex", tol=1e-300)
+
+    def test_three_circles_per_margin_call(self, monkeypatch):
+        asked = []
+        circle_minima = harmap.geometry._circle_minima
+
+        def counted(functional, stacks, radii):
+            asked.append(radii)
+            return circle_minima(functional, stacks, radii)
+
+        monkeypatch.setattr(harmap.geometry, "_circle_minima", counted)
+        radius_estimate(make(CatalogTag.KOEBE, 64), "convex", tol=1e-4)
+        # the scan fails at 0.3 (radius 2 - sqrt(3)), then 8 halvings in pairs
+        assert asked[:2] == [RADIUS_SCAN_RADII[:3], RADIUS_SCAN_RADII[3:6]]
+        assert len(asked) == 6 and all(len(radii) == 3 for radii in asked)
+
+    def test_degenerate_circle_asked_ahead_raises_nothing(self):
+        # h = z + z^2/0.3 has h' = 0 at z = -0.15, on the scan radius 0.15 that
+        # the scan asks with 0.05 and 0.10; convexity fails at 0.10 first
+        f = analytic_map(AnalyticSeries([1.0, 1.0 / 0.3]))
+        with pytest.raises(DegenerateCurveError, match="r=0.15$"):
+            convex_margin(f, 0.15)
+        est = radius_estimate(f, "convex")
+        assert (est.lo, est.hi) == (0.07480468750000001, 0.07500000000000001)
+        assert_estimate_matches_sequential(f, "convex")
+
+    def test_degenerate_circle_before_the_first_failure_raises(self):
+        # f = z + conj(b z^20), b = -1e19, vanishes at z = 0.1 and is starlike on
+        # |z| = 0.05, so the rule reaches the degenerate scan radius 0.10
+        g = np.zeros(20, dtype=np.complex128)
+        g[19] = -1e19
+        f = HarmonicMap(AnalyticSeries(np.eye(1, 20, 0).ravel()), AnalyticSeries(g))
+        assert starlike_margin(f, 0.05).min_margin > 0.0
+        with pytest.raises(DegenerateCurveError, match="r=0.1$"):
+            radius_estimate(f, "starlike")
+        assert_estimate_matches_sequential(f, "starlike")
+
     def test_koebe_convexity_radius(self):
         est = radius_estimate(make(CatalogTag.KOEBE, 64), "convex", tol=1e-4)
         assert est.value == pytest.approx(2 - math.sqrt(3), abs=1e-3)
@@ -767,6 +857,7 @@ class TestRadiusEstimate:
         assert starlike_margin(f, 0.05).min_margin < 0
         with pytest.raises(ValueError, match="smallest grid radius"):
             radius_estimate(f, "starlike", tol=1e-3)
+        assert_estimate_matches_sequential(f, "starlike", tol=1e-3)
 
 
 class TestSamplingGrid:

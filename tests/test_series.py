@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from harmap.harmonic import HarmonicMap, slice_map
 from harmap.series import (
-    ROW_BY_ROW_POINTS,
+    HORNER_BLOCK,
     AnalyticSeries,
     DomainError,
     _candidates,
@@ -234,24 +234,46 @@ class TestEvaluateStack:
             if k not in live:
                 assert not rows[k].any()
 
-    @pytest.mark.parametrize(
-        "order, live, width",
-        [
-            (64, 2, ROW_BY_ROW_POINTS - 1),
-            (64, 2, ROW_BY_ROW_POINTS),
-            (200, 2, ROW_BY_ROW_POINTS),
-            (64, 3, ROW_BY_ROW_POINTS),
-        ],
-    )
-    def test_both_sides_of_the_row_by_row_rule(self, order, live, width):
-        # two live series run row by row from ROW_BY_ROW_POINTS points on, three stay stacked
-        rng = np.random.default_rng(order + live + width)
-        series = tuple(random_series(rng, order - k) for k in range(live)) + (AnalyticSeries(np.zeros(order)),)
-        z = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, (3, width))) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, width)))
-        values = evaluate_groups([series] * 3, z)
-        assert values.shape == (3, len(series), width)
-        for j in range(3):
-            for s, row in zip(series, values[j]):
+    @staticmethod
+    def broadcast_loop(groups, z):
+        """``evaluate_groups`` as its stacked loop ran before the blocks: every
+        live series in one loop that adds each degree's coefficients as a
+        broadcast (live, 1) column."""
+        size = len(groups[0])
+        series = [s for group in groups for s in group]
+        w = np.repeat(np.asarray(z, dtype=np.complex128), size, axis=0)
+        out = np.zeros(w.shape, dtype=np.complex128)
+        live = [k for k, s in enumerate(series) if not s._is_zero]
+        matrix = np.zeros((len(live), max(series[k].order for k in live)), dtype=np.complex128)
+        for j, k in enumerate(live):
+            matrix[j, : series[k].order] = series[k].coeffs
+        const = np.array([series[k].const for k in live])
+        w = w[live]
+        acc = np.zeros(w.shape, dtype=np.complex128)
+        for c in matrix.T[::-1, :, None]:
+            acc *= w
+            acc += c
+        out[live] = const[:, None] + acc * w
+        return out.reshape(len(groups), size, -1)
+
+    @pytest.mark.parametrize("live", [1, 2, 3, 4])
+    @pytest.mark.parametrize("width", [2, 3, 17, 256, 1024, 2048])
+    def test_blocks_equal_the_broadcast_loop(self, live, width):
+        # orders reach past one block of HORNER_BLOCK entries, a zero series and
+        # lower orders pad every group, and one series carries a constant term
+        groups = 3
+        order = max(64, HORNER_BLOCK // (live * groups * width) + 3)
+        rng = np.random.default_rng(live * 10000 + width)
+        series = [random_series(rng, order - 2 * k, const=0.5j if k == 1 else 0.0) for k in range(live)]
+        group = tuple(series[:1]) + (AnalyticSeries(np.zeros(order)),) + tuple(series[1:])
+        z = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, (groups, width))) * np.exp(
+            1j * rng.uniform(0.0, 2.0 * np.pi, (groups, width))
+        )
+        got = evaluate_groups([group] * groups, z)
+        assert got.shape == (groups, live + 1, width)
+        assert got.tobytes() == self.broadcast_loop([group] * groups, z).tobytes()
+        for j in range(groups):
+            for s, row in zip(group, got[j]):
                 assert row.tobytes() == s.evaluate(z[j]).tobytes()
 
     def test_strided_and_fortran_points(self):
