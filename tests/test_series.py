@@ -234,6 +234,22 @@ class TestEvaluateStack:
             if k not in live:
                 assert not rows[k].any()
 
+    @pytest.mark.parametrize(
+        "order, live, width",
+        [(64, 2, 255), (64, 2, 256), (200, 2, 256), (64, 3, 256)],
+    )
+    def test_both_sides_of_the_row_by_row_rule(self, order, live, width):
+        # two live series once ran row by row from 256 points on; on blocks,
+        # both sides of that width keep each row's own bits
+        rng = np.random.default_rng(order + live + width)
+        series = tuple(random_series(rng, order - k) for k in range(live)) + (AnalyticSeries(np.zeros(order)),)
+        z = 0.99 * np.sqrt(rng.uniform(0.0, 1.0, (3, width))) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (3, width)))
+        values = evaluate_groups([series] * 3, z)
+        assert values.shape == (3, len(series), width)
+        for j in range(3):
+            for s, row in zip(series, values[j]):
+                assert row.tobytes() == s.evaluate(z[j]).tobytes()
+
     @staticmethod
     def broadcast_loop(groups, z):
         """``evaluate_groups`` as its stacked loop ran before the blocks: every
